@@ -28,7 +28,7 @@ use sbq_pbio::{FormatServer, PbioEndpoint, WireFrame};
 use sbq_qos::QualityManager;
 use sbq_runtime::{BufferPool, SmallRng};
 use sbq_telemetry::trace::TRACE_HEADER;
-use sbq_telemetry::{Counter, Histogram, Registry, Span, TraceSpan, Tracer};
+use sbq_telemetry::{Counter, Histogram, Registry, TraceSpan, Tracer};
 use sbq_wsdl::{compile, CompiledService, ServiceDef};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -248,25 +248,19 @@ struct ClientMetrics {
     encode: Histogram,
     decode: Histogram,
     tracer: Tracer,
-    encode_name: String,
-    decode_name: String,
 }
 
 impl ClientMetrics {
     fn new(registry: &Registry, encoding: WireEncoding) -> ClientMetrics {
-        let encode_name = format!("marshal.{}.encode", encoding.name());
-        let decode_name = format!("marshal.{}.decode", encoding.name());
         ClientMetrics {
             calls: registry.counter("client.calls"),
             retries: registry.counter("client.retries"),
             retries_suppressed: registry.counter("client.retry.suppressed"),
             reconnects: registry.counter("client.reconnects"),
             backoff: registry.histogram("client.backoff_ns"),
-            encode: registry.histogram(&encode_name),
-            decode: registry.histogram(&decode_name),
+            encode: registry.histogram(encoding.encode_phase()),
+            decode: registry.histogram(encoding.decode_phase()),
             tracer: registry.tracer(),
-            encode_name,
-            decode_name,
             registry: registry.clone(),
         }
     }
@@ -579,8 +573,12 @@ impl SoapClient {
         let tracer = self.metrics.tracer.clone();
         let t0 = Instant::now();
         let mut req = {
-            let _span = Span::on(&self.metrics.encode);
-            let _tspan = tracer.child_span(&self.metrics.encode_name, &attempt_ctx);
+            let _phase = tracer.phase(
+                &self.metrics.encode,
+                self.encoding.encode_phase(),
+                Some(&attempt_ctx),
+                None,
+            );
             // The first PBIO encode of a session also carries the
             // format-registration handshake (§III-B.a) — make that cost
             // visible as its own span.
@@ -614,8 +612,12 @@ impl SoapClient {
         }
 
         let (value, resp_header) = {
-            let _span = Span::on(&self.metrics.decode);
-            let _tspan = tracer.child_span(&self.metrics.decode_name, &attempt_ctx);
+            let _phase = tracer.phase(
+                &self.metrics.decode,
+                self.encoding.decode_phase(),
+                Some(&attempt_ctx),
+                None,
+            );
             self.decode_response(&mut resp, &stub.output, &stub.output_format)?
         };
 

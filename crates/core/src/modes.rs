@@ -45,13 +45,22 @@ impl WireEncoding {
         }
     }
 
-    /// Short lowercase name, used to key per-encoding metrics
-    /// (`marshal.pbio.encode` and friends).
-    pub fn name(self) -> &'static str {
+    /// Phase (histogram and span) name of a marshal encode in this
+    /// encoding: `marshal.{pbio,xml,lzxml}.encode`.
+    pub fn encode_phase(self) -> &'static str {
         match self {
-            WireEncoding::Pbio => "pbio",
-            WireEncoding::Xml => "xml",
-            WireEncoding::CompressedXml => "lzxml",
+            WireEncoding::Pbio => "marshal.pbio.encode",
+            WireEncoding::Xml => "marshal.xml.encode",
+            WireEncoding::CompressedXml => "marshal.lzxml.encode",
+        }
+    }
+
+    /// Phase name of a marshal decode: `marshal.{pbio,xml,lzxml}.decode`.
+    pub fn decode_phase(self) -> &'static str {
+        match self {
+            WireEncoding::Pbio => "marshal.pbio.decode",
+            WireEncoding::Xml => "marshal.xml.decode",
+            WireEncoding::CompressedXml => "marshal.lzxml.decode",
         }
     }
 }

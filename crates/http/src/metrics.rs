@@ -20,7 +20,6 @@ use sbq_telemetry::{Counter, Gauge, Histogram, Registry};
 /// | `http.admission.shed` | counter   | requests answered by the admission hook    |
 /// | `http.chunked.rx`     | counter   | requests received with chunked framing     |
 /// | `http.chunked.tx`     | counter   | responses sent with chunked framing        |
-/// | `http.connections.active` | gauge | connections currently open                 |
 /// | `http.connections.accepted` | counter | connections accepted over the lifetime |
 /// | `http.connections.open` | gauge  | connections currently registered with the reactor |
 /// | `http.connections.idle` | gauge  | open connections parked between keep-alive requests |
@@ -28,7 +27,7 @@ use sbq_telemetry::{Counter, Gauge, Histogram, Registry};
 /// | `http.requests.inflight`  | gauge | requests currently inside a handler        |
 /// | `http.queue_wait_ns`  | histogram | dispatch wait, parsed → CPU-pool pickup    |
 /// | `http.read_ns`        | histogram | request parse time (first byte → parsed)   |
-/// | `http.write_ns`       | histogram | response write time                        |
+/// | `http.write_ns`       | histogram | response write time (parsed requests, shed ones included) |
 /// | `http.handler_ns`     | histogram | handler dispatch time                      |
 /// | `http.request_us`     | histogram | end-to-end latency (first byte → response ready); tail buckets carry trace-id exemplars |
 /// | `reactor.wakeups`     | counter   | event-loop unparks via the wake pipe       |
@@ -51,7 +50,6 @@ pub(crate) struct HttpMetrics {
     pub(crate) shed: Counter,
     pub(crate) chunked_rx: Counter,
     pub(crate) chunked_tx: Counter,
-    pub(crate) active: Gauge,
     pub(crate) accepted: Counter,
     pub(crate) open: Gauge,
     pub(crate) idle: Gauge,
@@ -82,7 +80,6 @@ impl HttpMetrics {
             shed: reg.counter("http.admission.shed"),
             chunked_rx: reg.counter("http.chunked.rx"),
             chunked_tx: reg.counter("http.chunked.tx"),
-            active: reg.gauge("http.connections.active"),
             accepted: reg.counter("http.connections.accepted"),
             open: reg.gauge("http.connections.open"),
             idle: reg.gauge("http.connections.idle"),

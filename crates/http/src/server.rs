@@ -26,9 +26,7 @@ use sbq_runtime::channel::{self, Receiver, Sender};
 use sbq_runtime::reactor::{Event, Interest, Token};
 use sbq_runtime::{BufferPool, CpuPool, DeadlineWheel, Reactor};
 use sbq_telemetry::trace;
-use sbq_telemetry::{
-    HealthConfig, HealthMonitor, HealthSnapshot, Registry, Span, TraceContext, TraceSpan, Tracer,
-};
+use sbq_telemetry::{HealthConfig, HealthMonitor, HealthSnapshot, Registry, TraceSpan, Tracer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -39,10 +37,10 @@ use std::time::{Duration, Instant};
 /// in the low 32 bits, so they can never collide with this in practice).
 const LISTENER_TOKEN: Token = Token(u64::MAX - 1);
 /// Token for the watchdog heartbeat timer on the deadline wheel. The
-/// event loop measures how late each heartbeat fires relative to its
-/// scheduled deadline — that lag *is* the reactor loop lag, because the
-/// only thing that can delay an armed wheel entry is the loop itself
-/// being busy (or blocked) between polls.
+/// event loop measures how late each heartbeat fires relative to the
+/// wheel tick it was scheduled on — that lag *is* the reactor loop lag,
+/// because the only thing that can delay an armed wheel entry is the
+/// loop itself being busy (or blocked) between polls.
 const HEARTBEAT_TOKEN: Token = Token(u64::MAX - 2);
 /// Deadline-wheel resolution: coarse on purpose — connection timeouts are
 /// tens of milliseconds and up.
@@ -368,7 +366,6 @@ impl HttpServer {
             connections: Arc::clone(&connections),
             scratch: vec![0u8; 64 * 1024],
             inflight_jobs: 0,
-            open_conns: 0,
             io_ops: 0,
             just_intr: false,
             stopping: false,
@@ -463,7 +460,7 @@ struct WriteJob {
     /// Held open until the last byte is written, so the request span
     /// covers the write phase like the old blocking server's did.
     req_span: Option<TraceSpan>,
-    sctx: Option<TraceContext>,
+    /// Start of the `server.write` phase.
     started: Instant,
 }
 
@@ -483,6 +480,20 @@ enum BodyWrite {
 }
 
 impl WriteJob {
+    /// A job writing `head` then `body` unframed, its write phase
+    /// starting now.
+    fn new(head: Vec<u8>, body: Vec<u8>, keep: bool, req_span: Option<TraceSpan>) -> WriteJob {
+        WriteJob {
+            head,
+            head_pos: 0,
+            body,
+            bw: BodyWrite::Plain { pos: 0 },
+            keep,
+            req_span,
+            started: Instant::now(),
+        }
+    }
+
     /// The next contiguous byte range to write, or `None` when complete.
     /// Chunk frames are synthesized lazily; each frame after the first
     /// leads with the previous chunk's terminating CRLF.
@@ -585,7 +596,6 @@ struct JobMeta {
     /// the SLO engine and `http.request_us` exemplars observe.
     read_start: Instant,
     req_span: TraceSpan,
-    sctx: TraceContext,
 }
 
 /// What a finished handler hands back to the event loop.
@@ -594,7 +604,6 @@ struct Completion {
     token: Token,
     resp: Response,
     req_span: Option<TraceSpan>,
-    sctx: Option<TraceContext>,
     close: bool,
     fault: Option<FaultAction>,
 }
@@ -674,12 +683,11 @@ struct EventLoop {
     connections: Arc<AtomicU64>,
     scratch: Vec<u8>,
     inflight_jobs: usize,
-    open_conns: usize,
     io_ops: u64,
     just_intr: bool,
     stopping: bool,
-    /// When the armed watchdog heartbeat is due; lag is measured against
-    /// this at fire time.
+    /// When the wheel fires the armed watchdog heartbeat (its deadline
+    /// rounded up to the tick); lag is measured against this at fire time.
     heartbeat_at: Option<Instant>,
 }
 
@@ -694,7 +702,10 @@ impl EventLoop {
             if self.ctx.stop.load(Ordering::SeqCst) && !self.stopping {
                 self.begin_shutdown();
             }
-            if self.stopping && self.open_conns == 0 && self.inflight_jobs == 0 {
+            if self.stopping
+                && self.ctx.active.load(Ordering::SeqCst) == 0
+                && self.inflight_jobs == 0
+            {
                 break;
             }
             let timeout = self.wheel.next_timeout(Instant::now());
@@ -792,10 +803,8 @@ impl EventLoop {
         self.connections.fetch_add(1, Ordering::SeqCst);
         self.ctx.active.fetch_add(1, Ordering::SeqCst);
         let m = &self.ctx.metrics;
-        m.active.inc();
         m.accepted.inc();
         m.open.inc();
-        self.open_conns += 1;
         self.conns[slot] = Some(Conn {
             stream,
             token,
@@ -822,10 +831,8 @@ impl EventLoop {
         }
         self.gens[slot] = self.gens[slot].wrapping_add(1);
         self.free.push(slot);
-        self.open_conns -= 1;
         self.ctx.active.fetch_sub(1, Ordering::SeqCst);
         let m = &self.ctx.metrics;
-        m.active.dec();
         m.open.dec();
         m.closed.inc();
         if conn.idle {
@@ -908,16 +915,16 @@ impl EventLoop {
     /// Arms (or re-arms) the watchdog heartbeat one period out.
     fn arm_heartbeat(&mut self) {
         let next = Instant::now() + self.ctx.health.config().heartbeat_period_value();
-        self.wheel.arm(HEARTBEAT_TOKEN, 0, next);
-        self.heartbeat_at = Some(next);
+        self.heartbeat_at = Some(self.wheel.arm(HEARTBEAT_TOKEN, 0, next));
     }
 
     fn on_deadline(&mut self, token: Token, tgen: u64) {
         if token == HEARTBEAT_TOKEN {
-            // Scheduled-vs-actual fire time: anything past the wheel's
-            // own tick resolution is time the loop spent away from
-            // `poll` — a blocking handler run on this thread, a storm of
-            // ready events, or the process being descheduled.
+            // Scheduled-vs-actual fire time, against the tick the wheel
+            // was due to fire on, so the wheel's own resolution is not
+            // lag: what remains is time the loop spent away from `poll` —
+            // a blocking handler run on this thread, a storm of ready
+            // events, or the process being descheduled.
             let lag = self
                 .heartbeat_at
                 .map(|at| Instant::now().saturating_duration_since(at))
@@ -1248,8 +1255,25 @@ impl EventLoop {
             .map(|v| v.eq_ignore_ascii_case("close"))
             .unwrap_or(false);
         let idx = ctx.requests.fetch_add(1, Ordering::SeqCst);
-        ctx.metrics.read.record_duration(read_start.elapsed());
+        // A malformed or absent X-SBQ-Trace is simply "no caller context":
+        // the request is served normally, the server span becomes a root.
+        let mut req_span = match req.trace_context() {
+            Some(caller) => ctx
+                .tracer
+                .child_span_at("server.request", &caller, read_start),
+            None => ctx.tracer.root_span("server.request"),
+        };
+        let sctx = req_span.context();
+        // The read phase ends here: first byte → request parsed.
+        drop(ctx.tracer.phase(
+            &ctx.metrics.read,
+            "server.read",
+            Some(&sctx),
+            Some(read_start),
+        ));
         let rid = request_id(&req, idx);
+        req_span.add_tag("req_id", &rid);
+        req_span.add_tag("method", &req.method);
         if let Some(d) = ctx.config.faults.stall_for(idx) {
             // Deliberate reactor-thread stall (tests): hold the event
             // loop hostage the way a handler mistakenly run here would,
@@ -1265,7 +1289,7 @@ impl EventLoop {
                 let load = ServerLoad {
                     inflight_jobs: self.inflight_jobs,
                     worker_threads: ctx.config.worker_threads,
-                    open_conns: self.open_conns,
+                    open_conns: ctx.active.load(Ordering::SeqCst) as usize,
                     health: ctx.health.is_enabled().then(|| ctx.health.snapshot()),
                 };
                 if let Admission::Respond(mut resp) = (hook.0)(&req, &load) {
@@ -1285,35 +1309,12 @@ impl EventLoop {
                         .map(|conn| std::mem::take(&mut conn.outbuf))
                         .unwrap_or_default();
                     let head = build_head(&ctx.config.pool, outbuf, &resp, false);
-                    self.queue_write(
-                        slot,
-                        WriteJob {
-                            head,
-                            head_pos: 0,
-                            body: std::mem::take(&mut resp.body),
-                            bw: BodyWrite::Plain { pos: 0 },
-                            keep,
-                            req_span: None,
-                            sctx: None,
-                            started: Instant::now(),
-                        },
-                    );
+                    let body = std::mem::take(&mut resp.body);
+                    self.queue_write(slot, WriteJob::new(head, body, keep, Some(req_span)));
                     return;
                 }
             }
         }
-        // A malformed or absent X-SBQ-Trace is simply "no caller context":
-        // the request is served normally, the server span becomes a root.
-        let mut req_span = match req.trace_context() {
-            Some(caller) => ctx
-                .tracer
-                .child_span_at("server.request", &caller, read_start),
-            None => ctx.tracer.root_span("server.request"),
-        };
-        req_span.add_tag("req_id", &rid);
-        req_span.add_tag("method", &req.method);
-        let sctx = req_span.context();
-        drop(ctx.tracer.child_span_at("server.read", &sctx, read_start));
         let meta = JobMeta {
             slot,
             token,
@@ -1324,7 +1325,6 @@ impl EventLoop {
             dispatched: Instant::now(),
             read_start,
             req_span,
-            sctx,
         };
         self.inflight_jobs += 1;
         let done = self.done_tx.clone();
@@ -1371,19 +1371,7 @@ impl EventLoop {
                     _ => bytes.len() / 2,
                 };
                 bytes.truncate(n);
-                self.queue_write(
-                    c.slot,
-                    WriteJob {
-                        head: bytes,
-                        head_pos: 0,
-                        body: Vec::new(),
-                        bw: BodyWrite::Plain { pos: 0 },
-                        keep: false,
-                        req_span: c.req_span,
-                        sctx: c.sctx,
-                        started: Instant::now(),
-                    },
-                );
+                self.queue_write(c.slot, WriteJob::new(bytes, Vec::new(), false, c.req_span));
             }
             // Delays were applied in the job; anything else writes intact.
             _ => {
@@ -1398,8 +1386,10 @@ impl EventLoop {
                     .unwrap_or_default();
                 let head = build_head(&self.ctx.config.pool, outbuf, &c.resp, chunked);
                 let body = std::mem::take(&mut c.resp.body);
-                let bw = if chunked {
-                    BodyWrite::Chunked {
+                let keep = !(c.close || self.stopping);
+                let mut job = WriteJob::new(head, body, keep, c.req_span);
+                if chunked {
+                    job.bw = BodyWrite::Chunked {
                         pos: 0,
                         chunk_rem: 0,
                         frame: Vec::new(),
@@ -1407,23 +1397,9 @@ impl EventLoop {
                         first: true,
                         done: false,
                         chunk_size,
-                    }
-                } else {
-                    BodyWrite::Plain { pos: 0 }
-                };
-                self.queue_write(
-                    c.slot,
-                    WriteJob {
-                        head,
-                        head_pos: 0,
-                        body,
-                        bw,
-                        keep: !(c.close || self.stopping),
-                        req_span: c.req_span,
-                        sctx: c.sctx,
-                        started: Instant::now(),
-                    },
-                );
+                    };
+                }
+                self.queue_write(c.slot, job);
             }
         }
     }
@@ -1456,16 +1432,7 @@ impl EventLoop {
             .push(("Connection".to_string(), "close".to_string()));
         self.queue_write(
             slot,
-            WriteJob {
-                head: resp.to_bytes(),
-                head_pos: 0,
-                body: Vec::new(),
-                bw: BodyWrite::Plain { pos: 0 },
-                keep: false,
-                req_span: None,
-                sctx: None,
-                started: Instant::now(),
-            },
+            WriteJob::new(resp.to_bytes(), Vec::new(), false, None),
         );
     }
 
@@ -1557,17 +1524,12 @@ impl EventLoop {
             };
             conn.timer_gen += 1; // cancel the write deadline
             if let Some(req_span) = job.req_span {
-                self.ctx
-                    .metrics
-                    .write
-                    .record_duration(job.started.elapsed());
-                if let Some(sctx) = &job.sctx {
-                    drop(
-                        self.ctx
-                            .tracer
-                            .child_span_at("server.write", sctx, job.started),
-                    );
-                }
+                drop(self.ctx.tracer.phase(
+                    &self.ctx.metrics.write,
+                    "server.write",
+                    Some(&req_span.context()),
+                    Some(job.started),
+                ));
                 drop(req_span); // request span ends with its last byte
             }
             // The head scratch goes back on the connection, not to the
@@ -1616,14 +1578,13 @@ fn run_request_job(
         dispatched,
         read_start,
         mut req_span,
-        sctx,
     } = meta;
-    let wait = dispatched.elapsed();
-    ctx.metrics.queue_wait.record_duration(wait);
-    drop(ctx.tracer.child_span_at(
+    let sctx = req_span.context();
+    drop(ctx.tracer.phase(
+        &ctx.metrics.queue_wait,
         "server.queue_wait",
-        &sctx,
-        trace::backdate(Instant::now(), wait),
+        Some(&sctx),
+        Some(dispatched),
     ));
     ctx.metrics.method(&req.method);
     let mut close = close_requested;
@@ -1637,21 +1598,21 @@ fn run_request_job(
             // answer 500, closing this connection only. The request id in
             // the body lets a client report which call blew up.
             ctx.metrics.inflight.inc();
-            let handler_span = Span::on(&ctx.metrics.handler);
-            let mut handler_tspan = ctx.tracer.child_span("server.handler", &sctx);
-            let hctx = handler_tspan.context();
-            let enabled = handler_tspan.is_enabled();
+            let mut handler =
+                ctx.tracer
+                    .phase(&ctx.metrics.handler, "server.handler", Some(&sctx), None);
+            let hctx = handler.context();
+            let traced = handler.is_enabled();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // Lower layers (marshalling, QoS) parent their spans on
                 // this thread-local context.
-                let _guard = enabled.then(|| trace::set_current(hctx));
+                let _guard = traced.then(|| trace::set_current(hctx));
                 (ctx.handler)(&req)
             }));
             if result.is_err() {
-                handler_tspan.set_error();
+                handler.set_error();
             }
-            drop(handler_tspan);
-            drop(handler_span);
+            drop(handler);
             ctx.metrics.inflight.dec();
             match result {
                 Ok(resp) => resp,
@@ -1703,7 +1664,6 @@ fn run_request_job(
         token,
         resp,
         req_span: Some(req_span),
-        sctx: Some(sctx),
         close,
         fault,
     });
@@ -2260,7 +2220,7 @@ mod tests {
         // The /metrics GET itself was counted before rendering.
         assert!(get("http_requests_get") >= 1.0);
         assert_eq!(get("http_status_2xx"), 5.0);
-        assert_eq!(get("http_connections_active"), 1.0);
+        assert_eq!(get("http_connections_open"), 1.0);
         assert!(get("http_read_ns_count") >= 5.0);
         assert!(get("http_write_ns_count") >= 5.0);
         assert_eq!(

@@ -422,7 +422,9 @@ impl DeadlineWheel {
 
     /// Schedules `(token, gen)` to expire at `deadline` (rounded up to
     /// the next tick; a past deadline fires on the very next tick).
-    pub fn arm(&mut self, token: Token, gen: u64, deadline: Instant) {
+    /// Returns the tick-rounded instant the entry fires at: the earliest
+    /// `now` for which [`DeadlineWheel::expire_into`] reports it.
+    pub fn arm(&mut self, token: Token, gen: u64, deadline: Instant) -> Instant {
         let at_tick = self.tick_of(deadline);
         let slot = (at_tick % self.slots.len() as u64) as usize;
         self.slots[slot].push(WheelEntry {
@@ -431,6 +433,7 @@ impl DeadlineWheel {
             at_tick,
         });
         self.len += 1;
+        self.base + self.tick * at_tick as u32
     }
 
     /// Advances the wheel to `now`, appending every expired
@@ -630,6 +633,23 @@ mod tests {
         assert!(fired.is_empty(), "must not fire a wrapped deadline early");
         wheel.expire_into(now + Duration::from_millis(26), &mut fired);
         assert_eq!(fired, vec![(Token(3), 1)]);
+    }
+
+    #[test]
+    fn arm_returns_the_tick_rounded_fire_instant() {
+        let tick = Duration::from_millis(25);
+        for offset_us in [1, 12_345, 25_000, 40_001, 1_000_000] {
+            let mut wheel = DeadlineWheel::new(tick, 64);
+            let deadline = Instant::now() + Duration::from_micros(offset_us);
+            let fires_at = wheel.arm(Token(7), 1, deadline);
+            assert!(fires_at >= deadline, "{offset_us} us");
+            assert!(fires_at < deadline + tick, "{offset_us} us");
+            let mut fired = Vec::new();
+            wheel.expire_into(fires_at - Duration::from_nanos(1), &mut fired);
+            assert!(fired.is_empty(), "{offset_us} us: fired 1 ns early");
+            wheel.expire_into(fires_at, &mut fired);
+            assert_eq!(fired, vec![(Token(7), 1)], "{offset_us} us");
+        }
     }
 
     #[test]

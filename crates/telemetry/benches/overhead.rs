@@ -8,7 +8,7 @@
 //! cargo bench -p sbq-telemetry
 //! ```
 
-use sbq_telemetry::{Registry, Span, TraceConfig};
+use sbq_telemetry::{Registry, TraceConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -41,16 +41,11 @@ fn main() {
     let g = reg.gauge("bench.gauge");
     ns_per_op("gauge.add", |_| g.add(1));
 
-    let hs = reg.histogram("bench.span");
-    ns_per_op("span (enter+drop, clocked)", |_| drop(Span::on(&hs)));
-
     let c_off = off.counter("bench.counter");
     ns_per_op("counter.inc (disabled)", |_| c_off.inc());
 
     let h_off = off.histogram("bench.histogram");
     ns_per_op("histogram.record (disabled)", |i| h_off.record(i));
-
-    ns_per_op("span (disabled)", |_| drop(Span::on(&h_off)));
 
     // Trace spans into the flight recorder: sampled (packs + publishes
     // a 26-word slot), unsampled (clock reads only), and disabled.
@@ -75,6 +70,16 @@ fn main() {
     let tracer_off = off.tracer();
     ns_per_op("trace.span (disabled)", |_| {
         drop(tracer_off.root_span("bench.trace"))
+    });
+
+    // Phases: one clock pair into a histogram and, sampled, the ring.
+    let hp = reg.histogram("bench.phase");
+    let call = Some(tracer.root_span("bench.call").context());
+    ns_per_op("phase (sampled)", |_| {
+        drop(tracer.phase(&hp, "bench.phase", call.as_ref(), None))
+    });
+    ns_per_op("phase (disabled)", |_| {
+        drop(tracer_off.phase(&h_off, "bench.phase", call.as_ref(), None))
     });
 
     // Contended: 8 threads on one counter and one histogram.

@@ -13,6 +13,10 @@
 //! 00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01
 //! ```
 //!
+//! The timed steps of a call (server read, queue wait, handler, write,
+//! marshal encode/decode) are [`Phase`](crate::Phase)s: each one's span
+//! ends at the same clock read that stops its histogram.
+//!
 //! Finished spans are packed into fixed-size slots of a bounded
 //! **flight recorder**: a lock-free MPSC ring that overwrites the
 //! oldest entry when full and never allocates or blocks on the record
@@ -39,7 +43,7 @@ use sbq_runtime::rand::SmallRng;
 use std::cell::Cell as StdCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Instant, SystemTime};
 
 /// The HTTP header that carries a [`TraceContext`] between processes.
 pub const TRACE_HEADER: &str = "X-SBQ-Trace";
@@ -491,9 +495,9 @@ impl Tracer {
         self.child_span_at(name, parent, Instant::now())
     }
 
-    /// Like [`Tracer::child_span`] but backdated to `start` — for
-    /// phases (queue wait, read) whose beginning predates the moment
-    /// the span object can be constructed.
+    /// Like [`Tracer::child_span`] but backdated to `start` — for spans
+    /// whose beginning predates the moment the span object can be
+    /// constructed (a server request from its first byte).
     pub fn child_span_at(&self, name: &str, parent: &TraceContext, start: Instant) -> TraceSpan {
         let Some(inner) = &self.inner else {
             return TraceSpan::disabled();
@@ -775,6 +779,42 @@ impl TraceSpan {
     pub fn force_record(&mut self) {
         self.force = true;
     }
+
+    /// Writes the span into the ring as ending at `end` — if it records
+    /// at all — and disarms it, so dropping it later writes nothing. A
+    /// [`Phase`](crate::Phase) ends its span at the same instant it
+    /// stops its histogram clock.
+    pub(crate) fn end_at(&mut self, end: Instant) {
+        if !self.is_recording() {
+            return;
+        }
+        let (Some(inner), Some(start)) = (self.inner.take(), self.start) else {
+            return;
+        };
+        let start_us = start
+            .saturating_duration_since(inner.epoch)
+            .as_micros()
+            .min(u64::MAX as u128) as u64;
+        let mut words = [0u64; WORDS];
+        words[W_TRACE_LO] = self.ctx.trace_id as u64;
+        words[W_TRACE_HI] = (self.ctx.trace_id >> 64) as u64;
+        words[W_SPAN] = self.ctx.span_id;
+        words[W_PARENT] = self.parent_id;
+        words[W_START] = start_us;
+        words[W_DUR] = end
+            .saturating_duration_since(start)
+            .as_micros()
+            .min(u64::MAX as u128) as u64;
+        words[W_META] = (if self.error { META_ERROR } else { 0 }) | ((self.tag_count as u64) << 8);
+        bytes_to_words(&self.name, &mut words[W_NAME..W_NAME + NAME_WORDS]);
+        for t in 0..self.tag_count as usize {
+            let base = W_TAGS + t * TAG_WORDS;
+            bytes_to_words(&self.tags[t].key, &mut words[base..base + 2]);
+            bytes_to_words(&self.tags[t].val, &mut words[base + 2..base + 5]);
+        }
+        inner.recorder.record(&words);
+        inner.recorded.inc();
+    }
 }
 
 fn format_u64(buf: &mut [u8; 20], mut v: u64) -> &str {
@@ -795,32 +835,9 @@ fn format_u64(buf: &mut [u8; 20], mut v: u64) -> &str {
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
-        let Some(inner) = &self.inner else { return };
-        if !(self.ctx.sampled() || self.error || self.force) {
-            return;
+        if self.is_recording() {
+            self.end_at(Instant::now());
         }
-        let Some(start) = self.start else { return };
-        let dur = start.elapsed();
-        let start_us = start
-            .saturating_duration_since(inner.epoch)
-            .as_micros()
-            .min(u64::MAX as u128) as u64;
-        let mut words = [0u64; WORDS];
-        words[W_TRACE_LO] = self.ctx.trace_id as u64;
-        words[W_TRACE_HI] = (self.ctx.trace_id >> 64) as u64;
-        words[W_SPAN] = self.ctx.span_id;
-        words[W_PARENT] = self.parent_id;
-        words[W_START] = start_us;
-        words[W_DUR] = dur.as_micros().min(u64::MAX as u128) as u64;
-        words[W_META] = (if self.error { META_ERROR } else { 0 }) | ((self.tag_count as u64) << 8);
-        bytes_to_words(&self.name, &mut words[W_NAME..W_NAME + NAME_WORDS]);
-        for t in 0..self.tag_count as usize {
-            let base = W_TAGS + t * TAG_WORDS;
-            bytes_to_words(&self.tags[t].key, &mut words[base..base + 2]);
-            bytes_to_words(&self.tags[t].val, &mut words[base + 2..base + 5]);
-        }
-        inner.recorder.record(&words);
-        inner.recorded.inc();
     }
 }
 
@@ -875,16 +892,11 @@ impl Drop for CurrentGuard {
     }
 }
 
-/// Helper for phase spans whose start predates span construction:
-/// `now - wait`, clamped at the epoch when the wait exceeds uptime.
-pub fn backdate(now: Instant, wait: Duration) -> Instant {
-    now.checked_sub(wait).unwrap_or(now)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Registry;
+    use std::time::Duration;
 
     fn tracer(config: TraceConfig) -> Tracer {
         let reg = Registry::new();
@@ -1069,6 +1081,14 @@ mod tests {
                 })
             })
             .collect();
+        // On a loaded 2-core host the writers may not have been scheduled
+        // yet: wait (bounded) for the first span so the snapshots below
+        // race real writes instead of an empty ring.
+        let recorded = &t.inner.as_ref().unwrap().recorded;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while recorded.get() == 0 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
         let mut exported = 0usize;
         for _ in 0..400 {
             for e in t.snapshot() {
@@ -1235,13 +1255,5 @@ mod tests {
         assert_ne!(c1.trace_id, 0);
         assert_ne!(c1.span_id, 0);
         assert_ne!(c1.trace_id, c2.trace_id);
-    }
-
-    #[test]
-    fn backdate_clamps_at_epoch() {
-        let now = Instant::now();
-        assert_eq!(backdate(now, Duration::ZERO), now);
-        let far = Duration::from_secs(60 * 60 * 24 * 365 * 100);
-        let _ = backdate(now, far); // must not panic, may clamp to now
     }
 }

@@ -642,6 +642,71 @@ fn one_call_yields_one_stitched_cross_process_trace() {
 }
 
 #[test]
+fn phase_histograms_and_spans_are_one_measurement() {
+    // Each timed phase reads one clock pair that feeds both its histogram
+    // and its span. At default sampling (every call traced) and with a
+    // ring large enough for the run, a phase's histogram count equals its
+    // span count, and the histogram's nanosecond sum matches the span
+    // microsecond sum to within each span's truncation to whole µs.
+    const CALLS: u64 = 40;
+    let reg = soap_binq::Registry::new();
+    reg.set_trace_config(soap_binq::TraceConfig::new().capacity(1 << 14));
+    let svc = echo_service();
+    let server = SoapServerBuilder::new(&svc, WireEncoding::Pbio)
+        .unwrap()
+        .transport(ServerConfig::default().telemetry(reg.clone()))
+        .handle("echo", |v| v)
+        .bind("127.0.0.1:0".parse().unwrap())
+        .unwrap();
+    let mut client = SoapClient::connect_with(
+        server.addr(),
+        &svc,
+        WireEncoding::Pbio,
+        ClientConfig::default().telemetry(reg.clone()),
+    )
+    .unwrap();
+    for i in 0..CALLS as i64 {
+        let v = Value::IntArray((0..64 * i).collect());
+        assert_eq!(client.call("echo", v.clone()).unwrap(), v);
+    }
+
+    // The server's write phase ends after the client has its response.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let spans = loop {
+        let spans = reg.tracer().snapshot();
+        let writes = spans.iter().filter(|s| s.name == "server.write").count();
+        if writes as u64 >= CALLS || std::time::Instant::now() > deadline {
+            break spans;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    };
+    for (hist, span, expect) in [
+        ("http.read_ns", "server.read", CALLS),
+        ("http.queue_wait_ns", "server.queue_wait", CALLS),
+        ("http.handler_ns", "server.handler", CALLS),
+        ("http.write_ns", "server.write", CALLS),
+        // Client requests plus server responses, and the reverse.
+        ("marshal.pbio.encode", "marshal.pbio.encode", 2 * CALLS),
+        ("marshal.pbio.decode", "marshal.pbio.decode", 2 * CALLS),
+    ] {
+        let h = reg.histogram(hist).snapshot();
+        let durs: Vec<u64> = spans
+            .iter()
+            .filter(|s| s.name == span)
+            .map(|s| s.dur_us)
+            .collect();
+        assert_eq!(h.count, expect, "{hist} count");
+        assert_eq!(durs.len() as u64, expect, "{span} spans");
+        let span_us: u64 = durs.iter().sum();
+        let hist_us = h.sum / 1000;
+        assert!(
+            span_us <= hist_us && hist_us - span_us <= expect,
+            "{hist} sums {hist_us} us, {span} spans sum {span_us} us"
+        );
+    }
+}
+
+#[test]
 fn retry_across_reconnect_stays_one_trace() {
     // A dropped response forces a reconnect + replay. Both attempts (and
     // the backoff and reconnect between them) must appear as siblings
