@@ -8,12 +8,18 @@
 //! charge per call (the 2001-era Soup transport opened a connection per
 //! request), which is exactly the "delay … mainly due to SOAP-bin's use
 //! of HTTP" the paper reports for small nested structs.
+//!
+//! Section (c) measures the same protagonists end to end instead of
+//! modeling them: real loopback calls through the full stack, one per
+//! SOAP wire encoding plus Sun RPC, minimum over a fixed run count.
 
 use sbq_bench::*;
 use sbq_model::{workload, TypeDesc, Value};
 use sbq_netsim::LinkSpec;
 use sbq_pbio::{plan, FormatDesc};
-use sbq_xdr::rpc;
+use sbq_wsdl::ServiceDef;
+use sbq_xdr::{rpc, RpcClient, RpcServer};
+use soap_binq::{SoapClient, SoapServerBuilder, WireEncoding};
 use std::time::Duration;
 
 /// TCP connect handshake charged to each non-persistent HTTP call.
@@ -40,11 +46,50 @@ fn run_case(name: &str, value: &Value, ty: &TypeDesc, link: &LinkSpec, iters: us
 
     let ratio = sb_total.as_secs_f64() / rpc_total.as_secs_f64();
     println!(
-        "{name:>14} | {} | {} | {} | {ratio:5.2}x",
+        "{name:>14} | {} | {} | {} | {} | {ratio:5.2}x",
         fmt_bytes(pb_bytes.len()),
+        fmt_dur(xdr_enc + xdr_dec),
         fmt_dur(rpc_total),
         fmt_dur(sb_total),
     );
+}
+
+/// Minimum loopback call time for an int[1024] echo over each SOAP wire
+/// encoding and over Sun RPC.
+fn loopback_calls(iters: usize) {
+    header(
+        "(c) measured loopback calls, int[1024] echo",
+        &["stack", "min call"],
+    );
+    let arr = TypeDesc::list_of(TypeDesc::Int);
+    let v = workload::int_array(1024, 1);
+    let svc = ServiceDef::new("Echo", "urn:bench:echo", "x").with_operation(
+        "echo",
+        arr.clone(),
+        arr.clone(),
+    );
+    for enc in [
+        WireEncoding::Pbio,
+        WireEncoding::Xml,
+        WireEncoding::CompressedXml,
+    ] {
+        let server = SoapServerBuilder::new(&svc, enc)
+            .unwrap()
+            .handle("echo", |v| v)
+            .bind("127.0.0.1:0".parse().unwrap())
+            .unwrap();
+        let mut client = SoapClient::connect(server.addr(), &svc, enc).unwrap();
+        // Warm up: format registration and caches.
+        client.call("echo", v.clone()).unwrap();
+        let d = time_min(iters, || client.call("echo", v.clone()).unwrap());
+        println!("{:>18} | {}", format!("soap {enc:?}"), fmt_dur(d));
+    }
+    let mut srv = RpcServer::new(0x2100_0001, 1);
+    srv.register(1, arr.clone(), arr.clone(), |v: Value| v);
+    let (addr, _handle) = srv.serve("127.0.0.1:0".parse().unwrap()).unwrap();
+    let mut client = RpcClient::connect(addr, 0x2100_0001, 1).unwrap();
+    let d = time_min(iters, || client.call(1, &v, &arr, &arr).unwrap());
+    println!("{:>18} | {}", "sun rpc", fmt_dur(d));
 }
 
 fn main() {
@@ -56,6 +101,7 @@ fn main() {
         &[
             "workload",
             "pbio bytes",
+            "xdr enc+dec",
             "sun rpc",
             "soap-bin",
             "soapbin/rpc",
@@ -77,6 +123,7 @@ fn main() {
         &[
             "workload",
             "pbio bytes",
+            "xdr enc+dec",
             "sun rpc",
             "soap-bin",
             "soapbin/rpc",
@@ -92,6 +139,8 @@ fn main() {
             50,
         );
     }
+
+    loopback_calls(50);
 
     println!(
         "\npaper shape: arrays ~comparable; Sun RPC wins on nested structs\n\

@@ -65,7 +65,7 @@ fn main() {
             let xml = marshal::value_to_xml(&v, "p");
             let lz_c = time_min(iters, || sbq_lz::compress(xml.as_bytes()));
             let lz = sbq_lz::compress(xml.as_bytes());
-            let lz_d = time_min(iters, || sbq_lz::decompress(&lz).unwrap());
+            let lz_d = time_min(iters, || sbq_lz::decompress(&lz, xml.len()).unwrap());
             let lz_cpu = lz_c + lz_d;
             let lz_total = lz_cpu + transfer(&link, lz.len() + http_request_overhead(lz.len()));
 

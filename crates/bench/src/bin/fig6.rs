@@ -83,7 +83,7 @@ fn main() {
         let comp = time_min(iters, || sbq_lz::compress(xml.as_bytes()));
         let lz = sbq_lz::compress(xml.as_bytes());
         let decomp = time_min(iters, || {
-            let x = sbq_lz::decompress(&lz).unwrap();
+            let x = sbq_lz::decompress(&lz, xml.len()).unwrap();
             marshal::parse_document(std::str::from_utf8(&x).unwrap(), &ty).unwrap()
         });
         let cpu = comp + decomp;

@@ -463,7 +463,7 @@ fn main() {
                 allocs: allocs_in(|| sbq_lz::compress(xml.as_bytes())),
             },
         );
-        let d = time_min(iters, || sbq_lz::decompress(&lz).unwrap());
+        let d = time_min(iters, || sbq_lz::decompress(&lz, xml.len()).unwrap());
         report(
             &mut rows,
             Row {
@@ -472,7 +472,7 @@ fn main() {
                 elems: n,
                 bytes: lz.len(),
                 mbps: mbps(xml_bytes, d),
-                allocs: allocs_in(|| sbq_lz::decompress(&lz).unwrap()),
+                allocs: allocs_in(|| sbq_lz::decompress(&lz, xml.len()).unwrap()),
             },
         );
     }

@@ -83,7 +83,7 @@ fn main() {
     let lz = sbq_lz::compress(xml.as_bytes());
     let cpu = time_min(iters, || {
         let x = sbq_lz::compress(xml.as_bytes());
-        let back = sbq_lz::decompress(&x).unwrap();
+        let back = sbq_lz::decompress(&x, xml.len()).unwrap();
         marshal::parse_document(std::str::from_utf8(&back).unwrap(), &ty).unwrap()
     }) + time_min(iters, || marshal::value_to_xml(&value, "catering_event"));
     rows.push((

@@ -18,17 +18,18 @@
 //! estimator — the measured time spans the failure and would poison the
 //! estimate (Karn's algorithm).
 
-use crate::envelope::{self, QosHeader};
+use crate::codec::{Codec, Leg, PbioSessions, Schema};
+use crate::envelope::QosHeader;
 use crate::marshal;
 use crate::modes::WireEncoding;
 use crate::SoapError;
-use sbq_http::{HttpClient, Request, Response};
-use sbq_model::{pad_to, TypeDesc, Value};
-use sbq_pbio::{FormatServer, PbioEndpoint, WireFrame};
+use sbq_http::HttpClient;
+use sbq_model::Value;
+use sbq_pbio::{FormatServer, PbioEndpoint};
 use sbq_qos::QualityManager;
 use sbq_runtime::{BufferPool, SmallRng};
 use sbq_telemetry::trace::TRACE_HEADER;
-use sbq_telemetry::{Counter, Histogram, Registry, TraceSpan, Tracer};
+use sbq_telemetry::{Counter, Histogram, Registry, TraceContext, TraceSpan, Tracer};
 use sbq_wsdl::{compile, CompiledService, ServiceDef};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -236,8 +237,9 @@ impl ClientConfig {
 /// | `client.reconnects`   | counter   | reconnects (fresh PBIO session each)  |
 /// | `client.backoff_ns`   | histogram | retry backoff sleeps                  |
 /// | `client.msgtype.<t>`  | counter   | quality-reduced responses by type     |
-/// | `marshal.<enc>.encode`| histogram | request marshal time for the encoding |
-/// | `marshal.<enc>.decode`| histogram | response unmarshal time               |
+///
+/// Request encode and response decode time go to the codec's
+/// `marshal.<enc>.{encode,decode}` phases.
 struct ClientMetrics {
     registry: Registry,
     calls: Counter,
@@ -245,21 +247,17 @@ struct ClientMetrics {
     retries_suppressed: Counter,
     reconnects: Counter,
     backoff: Histogram,
-    encode: Histogram,
-    decode: Histogram,
     tracer: Tracer,
 }
 
 impl ClientMetrics {
-    fn new(registry: &Registry, encoding: WireEncoding) -> ClientMetrics {
+    fn new(registry: &Registry) -> ClientMetrics {
         ClientMetrics {
             calls: registry.counter("client.calls"),
             retries: registry.counter("client.retries"),
             retries_suppressed: registry.counter("client.retry.suppressed"),
             reconnects: registry.counter("client.reconnects"),
             backoff: registry.histogram("client.backoff_ns"),
-            encode: registry.histogram(encoding.encode_phase()),
-            decode: registry.histogram(encoding.decode_phase()),
             tracer: registry.tracer(),
             registry: registry.clone(),
         }
@@ -295,23 +293,33 @@ pub struct CallStats {
     pub retries_suppressed: u64,
 }
 
+/// The client's one PBIO endpoint, for the codec. A session's first
+/// message carries the format-registration handshake (§III-B.a), timed as
+/// its own span under the attempt.
+struct ClientSession<'a>(&'a mut PbioEndpoint, &'a Tracer, &'a TraceContext);
+
+impl PbioSessions for ClientSession<'_> {
+    fn with<R>(self, _session: u64, f: impl FnOnce(&mut PbioEndpoint) -> R) -> R {
+        let ClientSession(endpoint, tracer, attempt) = self;
+        let _handshake = (endpoint.stats().messages_sent == 0)
+            .then(|| tracer.child_span("pbio.handshake", attempt));
+        f(endpoint)
+    }
+}
+
 /// A blocking SOAP-binQ client.
 pub struct SoapClient {
     http: HttpClient,
     addr: SocketAddr,
     config: ClientConfig,
     compiled: CompiledService,
-    encoding: WireEncoding,
+    codec: Codec,
     endpoint: PbioEndpoint,
-    pool: BufferPool,
     quality: Option<QualityManager>,
     session: u64,
     stats: CallStats,
     rng: SmallRng,
     metrics: ClientMetrics,
-    /// Whether the next PBIO call carries the format-registration
-    /// handshake (true after connect and every reconnect).
-    handshake_pending: bool,
 }
 
 impl SoapClient {
@@ -346,7 +354,7 @@ impl SoapClient {
     ) -> Result<SoapClient, SoapError> {
         let http = HttpClient::connect_with(addr, &config.http)?;
         let session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
-        let metrics = ClientMetrics::new(&config.telemetry, encoding);
+        let metrics = ClientMetrics::new(&config.telemetry);
         let pool = config.http.buffer_pool_ref().clone();
         if config.telemetry.is_enabled() {
             pool.set_observer(sbq_telemetry::pool_observer(&config.telemetry));
@@ -354,17 +362,15 @@ impl SoapClient {
         Ok(SoapClient {
             http,
             addr,
+            codec: Codec::new(encoding, config.http.limits_ref(), pool, &config.telemetry),
             config,
             compiled,
-            encoding,
             endpoint: PbioEndpoint::new(Arc::new(FormatServer::new())),
-            pool,
             quality: None,
             session,
             stats: CallStats::default(),
             rng: SmallRng::seed_from_u64(0x5b9_0a77e5 ^ session),
             metrics,
-            handshake_pending: true,
         })
     }
 
@@ -411,7 +417,6 @@ impl SoapClient {
         self.session = NEXT_SESSION.fetch_add(1, Ordering::Relaxed);
         self.stats.reconnects += 1;
         self.metrics.reconnects.inc();
-        self.handshake_pending = true;
         Ok(())
     }
 
@@ -430,7 +435,8 @@ impl SoapClient {
     /// surfaces to the caller and `client.retry.suppressed` is
     /// incremented.
     pub fn call_with_retry(&mut self, operation: &str, params: Value) -> Result<Value, SoapError> {
-        self.call_with_retry_inner(operation, params, self.config.idempotent)
+        let attempts = self.config.retry.attempts();
+        self.call_with_retry_inner(operation, &params, self.config.idempotent, attempts)
     }
 
     /// Like [`SoapClient::call_with_retry`], but marks this call
@@ -442,14 +448,16 @@ impl SoapClient {
         operation: &str,
         params: Value,
     ) -> Result<Value, SoapError> {
-        self.call_with_retry_inner(operation, params, true)
+        self.call_with_retry_inner(operation, &params, true, self.config.retry.attempts())
     }
 
+    /// Calls `operation` in up to `attempts` tries.
     fn call_with_retry_inner(
         &mut self,
         operation: &str,
-        params: Value,
+        params: &Value,
         idempotent: bool,
+        attempts: u32,
     ) -> Result<Value, SoapError> {
         // One root span covers every attempt: retries, backoffs, and
         // reconnects appear as sibling child spans under it, so a
@@ -457,11 +465,10 @@ impl SoapClient {
         let mut root = self.metrics.tracer.root_span("client.call");
         root.add_tag("op", operation);
         let root_ctx = root.context();
-        let policy = self.config.retry.clone();
         let mut retry = 0u32;
         let result = loop {
-            match self.call_attempt(operation, params.clone(), retry > 0, &root_ctx) {
-                Err(e) if retry + 1 < policy.attempts() && e.is_retryable_when_idempotent() => {
+            match self.call_attempt(operation, params, retry > 0, &root_ctx) {
+                Err(e) if retry + 1 < attempts && e.is_retryable_when_idempotent() => {
                     if !idempotent && !e.is_retryable() {
                         // The request may have executed server-side;
                         // replaying a non-idempotent call risks double
@@ -471,7 +478,7 @@ impl SoapClient {
                         break Err(e);
                     }
                     root.force_record();
-                    let pause = policy.backoff(retry, &mut self.rng);
+                    let pause = self.config.retry.backoff(retry, &mut self.rng);
                     self.metrics.backoff.record_duration(pause);
                     {
                         let mut bspan = self.metrics.tracer.child_span("client.backoff", &root_ctx);
@@ -514,14 +521,7 @@ impl SoapClient {
     /// type: quality-reduced responses are padded back ("the remaining
     /// entries are padded with zeroes", §III-B.b).
     pub fn call(&mut self, operation: &str, params: Value) -> Result<Value, SoapError> {
-        let mut root = self.metrics.tracer.root_span("client.call");
-        root.add_tag("op", operation);
-        let root_ctx = root.context();
-        let result = self.call_attempt(operation, params, false, &root_ctx);
-        if result.is_err() {
-            root.set_error();
-        }
-        result
+        self.call_with_retry_inner(operation, &params, false, 1)
     }
 
     /// One attempt as a child span of `parent` (the per-call root).
@@ -530,7 +530,7 @@ impl SoapClient {
     fn call_attempt(
         &mut self,
         operation: &str,
-        params: Value,
+        params: &Value,
         is_retry: bool,
         parent: &sbq_telemetry::TraceContext,
     ) -> Result<Value, SoapError> {
@@ -549,15 +549,11 @@ impl SoapClient {
     fn attempt_inner(
         &mut self,
         operation: &str,
-        params: Value,
+        params: &Value,
         is_retry: bool,
         attempt: &mut TraceSpan,
     ) -> Result<Value, SoapError> {
-        let stub = self
-            .compiled
-            .stub(operation)
-            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?
-            .clone();
+        let stub = crate::stub(&self.compiled, operation)?;
 
         let header = QosHeader {
             timestamp_us: 0, // echoed value unused: we time locally
@@ -570,23 +566,22 @@ impl SoapClient {
         };
 
         let attempt_ctx = attempt.context();
-        let tracer = self.metrics.tracer.clone();
         let t0 = Instant::now();
         let mut req = {
-            let _phase = tracer.phase(
-                &self.metrics.encode,
-                self.encoding.encode_phase(),
-                Some(&attempt_ctx),
-                None,
-            );
-            // The first PBIO encode of a session also carries the
-            // format-registration handshake (§III-B.a) — make that cost
-            // visible as its own span.
-            let _handshake = (self.handshake_pending && self.encoding == WireEncoding::Pbio)
-                .then(|| tracer.child_span("pbio.handshake", &attempt_ctx));
-            self.encode_request(operation, &params, &stub.input_format, &header)?
+            let _phase = self.codec.encode_phase(Some(&attempt_ctx));
+            let pbio = ClientSession(&mut self.endpoint, &self.metrics.tracer, &attempt_ctx);
+            self.codec
+                .encode(
+                    Leg::Request,
+                    operation,
+                    params,
+                    Schema::full(&stub.input, &stub.input_format),
+                    &header,
+                    self.session,
+                    pbio,
+                )?
+                .into_request(&format!("/{}", self.compiled.service.name))
         };
-        self.handshake_pending = false;
         if let Some(h) = attempt.header_value() {
             req.headers.push((TRACE_HEADER.to_string(), h));
         }
@@ -611,15 +606,20 @@ impl SoapClient {
             attempt.add_tag_hex("server_span", server.span_id);
         }
 
-        let (value, resp_header) = {
-            let _phase = tracer.phase(
-                &self.metrics.decode,
-                self.encoding.decode_phase(),
-                Some(&attempt_ctx),
-                None,
-            );
-            self.decode_response(&mut resp, &stub.output, &stub.output_format)?
+        let reply = {
+            let _phase = self.codec.decode_phase(Some(&attempt_ctx));
+            // Reduced message types parse with their registered schema,
+            // everything else with the full output type.
+            let quality = self.quality.as_ref();
+            let pbio = ClientSession(&mut self.endpoint, &self.metrics.tracer, &attempt_ctx);
+            self.codec.read_response(&mut resp, pbio, |_, qos| {
+                let mt = qos.message_type.as_deref();
+                let reduced = mt.and_then(|mt| quality?.message_type_def(mt));
+                let full = Schema::full(&stub.output, &stub.output_format);
+                Some(Schema { reduced, ..full })
+            })?
         };
+        let resp_header = reply.header;
 
         self.stats.calls += 1;
         self.metrics.calls.inc();
@@ -638,186 +638,19 @@ impl SoapClient {
                 q.observe_rtt(rtt, Duration::from_micros(resp_header.server_time_us));
             }
         }
-        Ok(value)
+        Ok(reply.value)
     }
 
     /// Interoperability-mode convenience: accepts the request parameters
     /// as an XML document and returns the result as XML — the client-side
     /// just-in-time conversion of §I.
     pub fn call_xml(&mut self, operation: &str, params_xml: &str) -> Result<String, SoapError> {
-        let stub = self
-            .compiled
-            .stub(operation)
-            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?
-            .clone();
+        let stub = crate::stub(&self.compiled, operation)?;
         let params = marshal::parse_document(params_xml, &stub.input)?;
         let result = self.call(operation, params)?;
         Ok(marshal::value_to_xml(
             &result,
             &format!("{operation}Result"),
         ))
-    }
-
-    fn encode_request(
-        &mut self,
-        operation: &str,
-        params: &Value,
-        input_format: &sbq_pbio::FormatDesc,
-        header: &QosHeader,
-    ) -> Result<Request, SoapError> {
-        let path = format!("/{}", self.compiled.service.name);
-        match self.encoding {
-            WireEncoding::Pbio => {
-                // Frame and encode straight into a pooled buffer: no
-                // per-message Vec, no concatenation copy. The HTTP layer
-                // recycles the buffer once the request is on the wire.
-                let mut body = self.pool.get(params.native_size() + 64);
-                self.endpoint.send_into(params, input_format, &mut body)?;
-                let mut req = Request::post(&path, self.encoding.content_type(), body);
-                req.headers
-                    .push(("X-Soap-Op".to_string(), operation.to_string()));
-                req.headers
-                    .push(("X-Pbio-Session".to_string(), self.session.to_string()));
-                req.headers.extend(header.to_http_headers());
-                Ok(req)
-            }
-            WireEncoding::Xml => {
-                let xml = envelope::build_request(operation, params, header);
-                Ok(Request::post(
-                    &path,
-                    self.encoding.content_type(),
-                    xml.into_bytes(),
-                ))
-            }
-            WireEncoding::CompressedXml => {
-                let xml = envelope::build_request(operation, params, header);
-                let body = sbq_lz::compress(xml.as_bytes());
-                Ok(Request::post(&path, self.encoding.content_type(), body))
-            }
-        }
-    }
-
-    fn decode_response(
-        &mut self,
-        resp: &mut Response,
-        output_ty: &TypeDesc,
-        output_format: &sbq_pbio::FormatDesc,
-    ) -> Result<(Value, QosHeader), SoapError> {
-        // An admission-control shed (503 + Retry-After) is encoding-
-        // independent: the call never reached a handler.
-        if resp.status == 503 {
-            let retry_after = resp
-                .header("retry-after")
-                .and_then(|v| v.trim().parse().ok())
-                .map(Duration::from_secs)
-                .unwrap_or(Duration::from_secs(1));
-            return Err(SoapError::Overloaded { retry_after });
-        }
-        match self.encoding {
-            WireEncoding::Pbio => {
-                if resp.status != 200 {
-                    let msg = resp
-                        .header("x-soap-error")
-                        .unwrap_or("server error")
-                        .to_string();
-                    return Err(SoapError::Fault {
-                        code: "soap:Server".into(),
-                        message: msg,
-                    });
-                }
-                let header = QosHeader::from_http_headers(|n| resp.header(n));
-                let mut value = None;
-                let body = std::mem::take(&mut resp.body);
-                let mut buf = &body[..];
-                while !buf.is_empty() {
-                    // Borrowed frames: payloads are decoded in place, the
-                    // only copies are the ones materializing the value.
-                    let (frame, used) = WireFrame::parse(buf)?;
-                    buf = &buf[used..];
-                    // The conversion plan pads reduced wire formats back to
-                    // the full native layout by construction.
-                    if let Some(v) = self.endpoint.receive_frame(&frame, Some(output_format))? {
-                        value = Some(v);
-                    }
-                }
-                self.pool.put(body);
-                let value =
-                    value.ok_or_else(|| SoapError::protocol("response had no data message"))?;
-                Ok((value, header))
-            }
-            WireEncoding::Xml | WireEncoding::CompressedXml => {
-                // Parse straight out of the response body (or the
-                // decompression output) — no defensive clone.
-                let decompressed;
-                let xml_bytes: &[u8] = match self.encoding {
-                    WireEncoding::CompressedXml => {
-                        decompressed = sbq_lz::decompress(&resp.body)?;
-                        &decompressed
-                    }
-                    _ => &resp.body,
-                };
-                let xml = std::str::from_utf8(xml_bytes)
-                    .map_err(|_| SoapError::xml("response is not utf-8"))?;
-                // Resolve the body type: reduced message types parse with
-                // their registered schema, everything else with the full
-                // output type. (Faults are handled inside parse_envelope.)
-                let quality = &self.quality;
-                let parsed = envelope::parse_envelope(xml, |_op| {
-                    // The header is not yet available to this closure, so
-                    // resolution happens in two steps below on mismatch.
-                    Some(output_ty.clone())
-                });
-                let parsed = match parsed {
-                    Ok(p) => p,
-                    Err(first_err) => {
-                        // Retry with the reduced type named in the header,
-                        // if the quality config knows it.
-                        let hdr = peek_header(xml);
-                        let reduced = hdr.message_type.as_deref().and_then(|mt| {
-                            quality
-                                .as_ref()
-                                .and_then(|q| q.message_type_def(mt).cloned())
-                        });
-                        match reduced {
-                            Some(ty) => envelope::parse_envelope(xml, |_| Some(ty.clone()))?,
-                            None => return Err(first_err),
-                        }
-                    }
-                };
-                let mut value = parsed.value;
-                if parsed.header.message_type.is_some() {
-                    value = pad_to(&value, output_ty)?;
-                }
-                self.pool.put(std::mem::take(&mut resp.body));
-                Ok((value, parsed.header))
-            }
-        }
-    }
-}
-
-/// Parses only the QoS header of an envelope (used to discover the reduced
-/// message type before re-parsing the body with the right schema).
-fn peek_header(xml: &str) -> QosHeader {
-    match envelope::parse_envelope(xml, |_| None) {
-        // Body resolution always fails with `None`, but the header was
-        // parsed before the body — recover it from the error path below.
-        Ok(p) => p.header,
-        Err(_) => {
-            // Fall back to a targeted scan of the header section.
-            let mut h = QosHeader::default();
-            if let Some(start) = xml.find("<qos:messageType>") {
-                let rest = &xml[start + "<qos:messageType>".len()..];
-                if let Some(end) = rest.find("</qos:messageType>") {
-                    h.message_type = Some(sbq_xml::unescape(&rest[..end]));
-                }
-            }
-            if let Some(start) = xml.find("<qos:serverTime>") {
-                let rest = &xml[start + "<qos:serverTime>".len()..];
-                if let Some(end) = rest.find("</qos:serverTime>") {
-                    h.server_time_us = rest[..end].trim().parse().unwrap_or(0);
-                }
-            }
-            h
-        }
     }
 }

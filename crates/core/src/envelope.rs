@@ -12,10 +12,11 @@
 //! encodings they ride as HTTP headers, since no XML envelope exists on
 //! the wire at all.
 
-use crate::marshal::{value_from_xml, value_to_xml};
+use crate::marshal::{value_from_xml, value_to_xml_into};
 use crate::SoapError;
 use sbq_model::{TypeDesc, Value};
 use sbq_xml::{escape_text, Event, PullParser};
+use std::borrow::Borrow;
 
 const ENVELOPE_NS: &str = "http://schemas.xmlsoap.org/soap/envelope/";
 
@@ -104,15 +105,14 @@ pub fn build_response(operation: &str, result: &Value, header: &QosHeader) -> St
 }
 
 fn build_envelope(body_tag: &str, value: &Value, header: &QosHeader) -> String {
-    let body = value_to_xml(value, body_tag);
-    let mut out = String::with_capacity(body.len() + 256);
+    let mut out = String::with_capacity(256);
     out.push_str("<?xml version=\"1.0\" encoding=\"UTF-8\"?>");
     out.push_str(&format!(
         "<soap:Envelope xmlns:soap=\"{ENVELOPE_NS}\" xmlns:qos=\"urn:soap-binq:qos\">"
     ));
     header.write_xml(&mut out);
     out.push_str("<soap:Body>");
-    out.push_str(&body);
+    value_to_xml_into(value, body_tag, &mut out);
     out.push_str("</soap:Body></soap:Envelope>");
     out
 }
@@ -134,11 +134,13 @@ pub fn build_fault(code: &str, message: &str) -> String {
     out
 }
 
-/// A parsed envelope: operation element name, QoS header, and parsed body
-/// value.
+/// A parsed message: operation name, QoS header, and parsed body value.
+/// The binary encoding carries the same three parts in HTTP headers and
+/// PBIO frames instead of an envelope.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedEnvelope {
-    /// The body element name (operation, or `<op>Response`).
+    /// The body element name (operation, or `<op>Response`), or the
+    /// `X-Soap-Op` header.
     pub operation: String,
     /// QoS header fields (defaults when absent).
     pub header: QosHeader,
@@ -152,6 +154,16 @@ pub fn parse_envelope(
     xml: &str,
     resolve: impl Fn(&str) -> Option<TypeDesc>,
 ) -> Result<ParsedEnvelope, SoapError> {
+    parse_envelope_with(xml, |op, _| resolve(op))
+}
+
+/// Parses an envelope whose body type is resolved from the operation
+/// element name *and* the already-parsed QoS header, so a quality-reduced
+/// body is read once, with the schema its `messageType` names.
+pub fn parse_envelope_with<T: Borrow<TypeDesc>>(
+    xml: &str,
+    resolve: impl FnOnce(&str, &QosHeader) -> Option<T>,
+) -> Result<ParsedEnvelope, SoapError> {
     let mut p = PullParser::new(xml);
     expect_start(&mut p, "Envelope")?;
     let mut header = QosHeader::default();
@@ -162,7 +174,7 @@ pub fn parse_envelope(
                 header = parse_header(&mut p)?;
             }
             Event::Start { name, .. } if local(&name) == "Body" => {
-                let (op, value) = parse_body(&mut p, &resolve, &header)?;
+                let (op, value) = parse_body(&mut p, resolve, &header)?;
                 // Consume </Body> and </Envelope>.
                 consume_end(&mut p)?;
                 consume_end(&mut p)?;
@@ -204,9 +216,9 @@ fn parse_header(p: &mut PullParser<'_>) -> Result<QosHeader, SoapError> {
     }
 }
 
-fn parse_body(
+fn parse_body<T: Borrow<TypeDesc>>(
     p: &mut PullParser<'_>,
-    resolve: &impl Fn(&str) -> Option<TypeDesc>,
+    resolve: impl FnOnce(&str, &QosHeader) -> Option<T>,
     header: &QosHeader,
 ) -> Result<(String, Value), SoapError> {
     loop {
@@ -216,7 +228,7 @@ fn parse_body(
                     return Err(parse_fault(p));
                 }
                 let op = name.clone();
-                let ty = resolve(&op).ok_or_else(|| {
+                let ty = resolve(&op, header).ok_or_else(|| {
                     SoapError::protocol(format!(
                         "unknown operation element <{op}>{}",
                         header
@@ -226,7 +238,7 @@ fn parse_body(
                             .unwrap_or_default()
                     ))
                 })?;
-                let value = value_from_xml(p, &ty)?;
+                let value = value_from_xml(p, ty.borrow())?;
                 return Ok((op, value));
             }
             Event::Text(_) => {}

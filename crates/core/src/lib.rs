@@ -46,6 +46,7 @@
 //! ```
 
 pub mod client;
+mod codec;
 pub mod envelope;
 pub mod marshal;
 pub mod modes;
@@ -109,6 +110,15 @@ pub enum ProtocolError {
     Model(sbq_model::ModelError),
     /// Anything else (unknown operation, bad headers, …).
     Other(String),
+}
+
+/// The compiled stub of `operation`.
+fn stub<'a>(
+    compiled: &'a sbq_wsdl::CompiledService,
+    operation: &str,
+) -> Result<&'a sbq_wsdl::StubSpec, SoapError> {
+    let stub = compiled.stub(operation);
+    stub.ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))
 }
 
 impl SoapError {

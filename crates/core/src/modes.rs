@@ -214,7 +214,7 @@ pub fn measure_compressed_xml(
     let sender = t0.elapsed();
     let wire_bytes = wire.len();
     let t1 = Instant::now();
-    let xml2 = sbq_lz::decompress(&wire)?;
+    let xml2 = sbq_lz::decompress(&wire, xml.len())?;
     let _ = parse_document(
         std::str::from_utf8(&xml2).map_err(|_| SoapError::xml("non-utf8 after lz"))?,
         ty,

@@ -12,16 +12,17 @@
 //! 4. reports its own data-preparation time back so the client can
 //!    compensate its estimator.
 
-use crate::envelope::{self, QosHeader};
+use crate::codec::{Codec, Leg, PbioSessions, Schema};
+use crate::envelope::QosHeader;
 use crate::modes::WireEncoding;
 use crate::SoapError;
 use sbq_http::{Admission, HttpServer, Request, Response, ServerConfig, ServerHandle};
-use sbq_pbio::{FormatServer, PbioEndpoint, WireFrame};
+use sbq_pbio::{FormatServer, PbioEndpoint};
 use sbq_qos::{FleetQos, QualityManager};
 use sbq_runtime::sync::Mutex;
 use sbq_telemetry::trace;
-use sbq_telemetry::{Counter, Histogram, Registry, Tracer};
-use sbq_wsdl::{compile, CompiledService, ServiceDef, StubSpec};
+use sbq_telemetry::{Counter, Registry, Tracer};
+use sbq_wsdl::{compile, CompiledService, ServiceDef};
 use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -240,11 +241,16 @@ impl SoapServerBuilder {
             });
         }
         let wsdl = sbq_wsdl::write_wsdl(&self.compiled.service).ok();
-        let metrics = ServerMetrics::new(transport.telemetry_registry(), self.encoding);
+        let registry = transport.telemetry_registry();
         let state = Arc::new(ServerState {
             compiled: self.compiled,
             wsdl,
-            encoding: self.encoding,
+            codec: Codec::new(
+                self.encoding,
+                transport.limits_ref(),
+                transport.buffer_pool_ref().clone(),
+                registry,
+            ),
             handlers: self.handlers,
             quality: quality.map(Mutex::new),
             fleet: self.fleet.map(|fleet| FleetState {
@@ -252,12 +258,14 @@ impl SoapServerBuilder {
                 policy: self.admission,
             }),
             workers,
-            format_server: Arc::new(FormatServer::new()),
-            pool: transport.buffer_pool_ref().clone(),
-            sessions: Mutex::new(HashMap::new()),
+            sessions: Sessions {
+                format_server: Arc::new(FormatServer::new()),
+                endpoints: Mutex::new(HashMap::new()),
+                tracer: registry.tracer(),
+            },
             faults: AtomicU64::new(0),
             reduced_responses: AtomicU64::new(0),
-            metrics,
+            metrics: ServerMetrics::new(registry),
         });
         let st = Arc::clone(&state);
         let handle = HttpServer::bind_with(addr, transport, move |req| st.serve(req))
@@ -340,20 +348,18 @@ impl SoapServer {
 /// | `server.faults`        | counter   | SOAP faults returned                |
 /// | `server.reduced`       | counter   | quality-reduced responses           |
 /// | `server.msgtype.<t>`   | counter   | selected response types             |
-/// | `marshal.<enc>.decode` | histogram | request unmarshal time              |
-/// | `marshal.<enc>.encode` | histogram | response marshal time               |
 /// | `marshal.simd_level`   | gauge     | latched kernel tier (0/1/2)         |
+///
+/// Request decode and response encode time go to the codec's
+/// `marshal.<enc>.{decode,encode}` phases.
 struct ServerMetrics {
     registry: Registry,
     faults: Counter,
     reduced: Counter,
-    decode: Histogram,
-    encode: Histogram,
-    tracer: Tracer,
 }
 
 impl ServerMetrics {
-    fn new(registry: &Registry, encoding: WireEncoding) -> ServerMetrics {
+    fn new(registry: &Registry) -> ServerMetrics {
         // The kernel tier is latched process-wide on first query; publishing
         // it at bind means /metrics shows which tier is live before any bulk
         // marshal has run (0 = scalar, 1 = SSE2, 2 = AVX2).
@@ -363,9 +369,6 @@ impl ServerMetrics {
         ServerMetrics {
             faults: registry.counter("server.faults"),
             reduced: registry.counter("server.reduced"),
-            decode: registry.histogram(encoding.decode_phase()),
-            encode: registry.histogram(encoding.encode_phase()),
-            tracer: registry.tracer(),
             registry: registry.clone(),
         }
     }
@@ -382,7 +385,7 @@ struct ServerState {
     /// Rendered WSDL served on `GET …?wsdl` (None when the service
     /// contains constructs the WSDL writer cannot express).
     wsdl: Option<String>,
-    encoding: WireEncoding,
+    codec: Codec,
     handlers: HashMap<String, Handler>,
     quality: Option<Mutex<QualityManager>>,
     /// Fleet-scale per-client quality state and the shed policy
@@ -391,17 +394,33 @@ struct ServerState {
     /// CPU-pool size the transport was bound with (the denominator of
     /// the overload ratio).
     workers: usize,
-    /// Server-process format registry shared by all sessions.
-    format_server: Arc<FormatServer>,
-    /// Body buffers for encoded responses come from (and return to) the
-    /// transport's pool; the HTTP layer recycles them after the write.
-    pool: sbq_runtime::BufferPool,
-    /// Per-client-session PBIO endpoints: format announcements must happen
-    /// once *per peer*, not once per server.
-    sessions: Mutex<HashMap<u64, PbioEndpoint>>,
+    sessions: Sessions,
     faults: AtomicU64,
     reduced_responses: AtomicU64,
     metrics: ServerMetrics,
+}
+
+/// Per-client-session PBIO endpoints: format announcements must happen
+/// once *per peer*, not once per server. All sessions share one
+/// server-process format registry.
+struct Sessions {
+    format_server: Arc<FormatServer>,
+    endpoints: Mutex<HashMap<u64, PbioEndpoint>>,
+    tracer: Tracer,
+}
+
+impl PbioSessions for &Sessions {
+    fn with<R>(self, session: u64, f: impl FnOnce(&mut PbioEndpoint) -> R) -> R {
+        let mut endpoints = self.endpoints.lock();
+        // A session we have never seen carries the PBIO format handshake
+        // in this request; time it as its own span.
+        let _handshake = trace::current()
+            .filter(|_| !endpoints.contains_key(&session))
+            .map(|p| self.tracer.child_span("pbio.handshake", &p));
+        f(endpoints
+            .entry(session)
+            .or_insert_with(|| PbioEndpoint::new(Arc::clone(&self.format_server))))
+    }
 }
 
 impl ServerState {
@@ -422,69 +441,32 @@ impl ServerState {
             Err(e) => {
                 self.faults.fetch_add(1, Ordering::Relaxed);
                 self.metrics.faults.inc();
-                self.fault_response(&e)
-            }
-        }
-    }
-
-    fn fault_response(&self, err: &SoapError) -> Response {
-        match self.encoding {
-            WireEncoding::Pbio => {
-                let mut resp = Response::with_status(
-                    500,
-                    "Internal Server Error",
-                    self.encoding.content_type(),
-                    Vec::new(),
-                );
-                resp.headers
-                    .push(("X-Soap-Error".to_string(), err.to_string()));
-                resp
-            }
-            WireEncoding::Xml => {
-                let body = envelope::build_fault("soap:Server", &err.to_string());
-                Response::server_error(body.into_bytes())
-            }
-            WireEncoding::CompressedXml => {
-                let body = envelope::build_fault("soap:Server", &err.to_string());
-                let mut resp = Response::with_status(
-                    500,
-                    "Internal Server Error",
-                    self.encoding.content_type(),
-                    sbq_lz::compress(body.as_bytes()),
-                );
-                resp.headers
-                    .push(("X-Soap-Error".to_string(), err.to_string()));
-                resp
+                self.codec.write_fault(&e)
             }
         }
     }
 
     fn try_serve(&self, req: &Request) -> Result<Response, SoapError> {
         let parent = trace::current();
-        let (operation, params, qos, session) = {
-            let _phase = self.metrics.tracer.phase(
-                &self.metrics.decode,
-                self.encoding.decode_phase(),
-                parent.as_ref(),
-                None,
-            );
-            self.decode_request(req)?
+        let (call, session) = {
+            let _phase = self.codec.decode_phase(parent.as_ref());
+            self.codec.read_request(req, &self.sessions, |op, _| {
+                let stub = self.compiled.stub(op)?;
+                Some(Schema::full(&stub.input, &stub.input_format))
+            })?
         };
-        let stub = self
-            .compiled
-            .stub(&operation)
-            .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?
-            .clone();
+        let operation = &call.operation;
+        let stub = crate::stub(&self.compiled, operation)?;
         let handler = self
             .handlers
-            .get(&operation)
-            .ok_or_else(|| SoapError::protocol(format!("no handler for {operation}")))?
-            .clone();
+            .get(operation)
+            .ok_or_else(|| SoapError::protocol(format!("no handler for {operation}")))?;
 
         // Quality: absorb the client-reported estimate before selecting.
         // With a fleet table attached the report lands in the *caller's*
         // entry; the connection-global manager absorbs it only when it
         // is the sole quality authority.
+        let qos = &call.header;
         let fleet_band = match &self.fleet {
             Some(f) => {
                 let client = fleet_client_id(req);
@@ -502,9 +484,9 @@ impl ServerState {
         };
 
         let t0 = Instant::now();
-        let original = handler(params);
+        let original = handler(call.value);
         // Quality-manage the response value.
-        let (result, message_type) = match (&self.fleet, &self.quality) {
+        let prepared = match (&self.fleet, &self.quality) {
             (Some(f), Some(q)) => {
                 // Per-client band; under overload every admitted call is
                 // answered one band below the caller's own.
@@ -516,24 +498,24 @@ impl ServerState {
                     f.fleet.note_degraded();
                 }
                 let rule = f.fleet.rule(band).clone();
-                let prepared = q.lock().apply_rule(&rule, Some(band), &original);
-                (prepared.value, Some(prepared.message_type))
+                Some(q.lock().apply_rule(&rule, Some(band), &original))
             }
-            (None, Some(q)) => {
-                let prepared = q.lock().prepare(&original);
-                (prepared.value, Some(prepared.message_type))
-            }
-            _ => (original.clone(), None),
+            (None, Some(q)) => Some(q.lock().prepare(&original)),
+            _ => None,
         };
         let server_time = t0.elapsed();
-
-        if message_type.is_some() && result != original {
-            self.reduced_responses.fetch_add(1, Ordering::Relaxed);
-            self.metrics.reduced.inc();
-        }
-        if let Some(mt) = &message_type {
-            self.metrics.message_type(mt);
-        }
+        // Without a quality manager the handler's value goes out as is.
+        let (result, message_type) = match prepared {
+            Some(p) => {
+                if p.value != original {
+                    self.reduced_responses.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.reduced.inc();
+                }
+                self.metrics.message_type(&p.message_type);
+                (p.value, Some(p.message_type))
+            }
+            None => (original, None),
+        };
 
         let resp_header = QosHeader {
             timestamp_us: qos.timestamp_us, // echo for client-side RTT
@@ -541,132 +523,16 @@ impl ServerState {
             server_time_us: server_time.as_micros() as u64,
             message_type,
         };
-        let _phase = self.metrics.tracer.phase(
-            &self.metrics.encode,
-            self.encoding.encode_phase(),
-            parent.as_ref(),
-            None,
-        );
-        self.encode_response(&operation, &result, &stub, &resp_header, session)
-    }
-
-    fn decode_request(&self, req: &Request) -> Result<(String, Value, QosHeader, u64), SoapError> {
-        // Content-type negotiation: a client speaking a different wire
-        // encoding gets a clear fault instead of a confusing parse error.
-        if let Some(ct) = req.header("content-type") {
-            let expect = self.encoding.content_type();
-            let expect_base = expect.split(';').next().unwrap_or(expect).trim();
-            let got_base = ct.split(';').next().unwrap_or(ct).trim();
-            if !got_base.eq_ignore_ascii_case(expect_base) {
-                return Err(SoapError::protocol(format!(
-                    "unsupported content type {got_base:?}: this endpoint speaks {expect_base:?}"
-                )));
-            }
-        }
-        match self.encoding {
-            WireEncoding::Pbio => {
-                let operation = req
-                    .header("x-soap-op")
-                    .ok_or_else(|| SoapError::protocol("missing X-Soap-Op"))?
-                    .to_string();
-                let session: u64 = req
-                    .header("x-pbio-session")
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(0);
-                let qos = QosHeader::from_http_headers(|n| req.header(n));
-                let stub = self
-                    .compiled
-                    .stub(&operation)
-                    .ok_or_else(|| SoapError::protocol(format!("unknown operation {operation}")))?;
-                let mut sessions = self.sessions.lock();
-                // A session we have never seen carries the PBIO format
-                // handshake in this request; time it as its own span.
-                let handshake = trace::current()
-                    .filter(|_| !sessions.contains_key(&session))
-                    .map(|p| self.metrics.tracer.child_span("pbio.handshake", &p));
-                let endpoint = sessions
-                    .entry(session)
-                    .or_insert_with(|| PbioEndpoint::new(Arc::clone(&self.format_server)));
-                let mut value = None;
-                let mut buf = &req.body[..];
-                while !buf.is_empty() {
-                    // Borrowed frames: payloads decode in place out of the
-                    // (pooled) request body; only the value owns memory.
-                    let (frame, used) = WireFrame::parse(buf)?;
-                    buf = &buf[used..];
-                    if let Some(v) = endpoint.receive_frame(&frame, Some(&stub.input_format))? {
-                        value = Some(v);
-                    }
-                }
-                drop(handshake);
-                let value =
-                    value.ok_or_else(|| SoapError::protocol("request had no data message"))?;
-                Ok((operation, value, qos, session))
-            }
-            WireEncoding::Xml | WireEncoding::CompressedXml => {
-                // Parse straight out of the request body (or the
-                // decompression output) — no defensive clone.
-                let decompressed;
-                let xml_bytes: &[u8] = match self.encoding {
-                    WireEncoding::CompressedXml => {
-                        decompressed = sbq_lz::decompress(&req.body)?;
-                        &decompressed
-                    }
-                    _ => &req.body,
-                };
-                let xml = std::str::from_utf8(xml_bytes)
-                    .map_err(|_| SoapError::xml("request is not utf-8"))?;
-                let compiled = &self.compiled;
-                let parsed =
-                    envelope::parse_envelope(xml, |op| compiled.stub(op).map(|s| s.input.clone()))?;
-                Ok((parsed.operation, parsed.value, parsed.header, 0))
-            }
-        }
-    }
-
-    fn encode_response(
-        &self,
-        operation: &str,
-        result: &Value,
-        stub: &StubSpec,
-        header: &QosHeader,
-        session: u64,
-    ) -> Result<Response, SoapError> {
-        match self.encoding {
-            WireEncoding::Pbio => {
-                // A reduced value no longer matches the stub's output
-                // format: derive the actual format from the value so the
-                // registration/conversion machinery stays truthful.
-                let format = if result.conforms_to(&stub.output) {
-                    stub.output_format.clone()
-                } else {
-                    sbq_pbio::FormatDesc::from_type(&result.type_of(), Default::default())?
-                };
-                let mut sessions = self.sessions.lock();
-                let endpoint = sessions
-                    .entry(session)
-                    .or_insert_with(|| PbioEndpoint::new(Arc::clone(&self.format_server)));
-                // Frame and encode straight into a pooled buffer; the HTTP
-                // layer recycles it once the response is on the wire.
-                let mut body = self.pool.get(result.native_size() + 64);
-                endpoint.send_into(result, &format, &mut body)?;
-                let mut resp = Response::ok(self.encoding.content_type(), body);
-                resp.headers
-                    .push(("X-Soap-Op".to_string(), operation.to_string()));
-                resp.headers.extend(header.to_http_headers());
-                Ok(resp)
-            }
-            WireEncoding::Xml => {
-                let xml = envelope::build_response(operation, result, header);
-                Ok(Response::ok(self.encoding.content_type(), xml.into_bytes()))
-            }
-            WireEncoding::CompressedXml => {
-                let xml = envelope::build_response(operation, result, header);
-                Ok(Response::ok(
-                    self.encoding.content_type(),
-                    sbq_lz::compress(xml.as_bytes()),
-                ))
-            }
-        }
+        let _phase = self.codec.encode_phase(parent.as_ref());
+        let resp = self.codec.encode(
+            Leg::Response,
+            operation,
+            &result,
+            Schema::full(&stub.output, &stub.output_format),
+            &resp_header,
+            session,
+            &self.sessions,
+        )?;
+        Ok(resp.into_response())
     }
 }

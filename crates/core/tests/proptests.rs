@@ -127,7 +127,7 @@ fn compressed_envelope_agrees_with_plain() {
         let v = sample(&ty, &mut s);
         let xml = envelope::build_request("op", &v, &QosHeader::default());
         let lz = sbq_lz::compress(xml.as_bytes());
-        let back = sbq_lz::decompress(&lz).unwrap();
+        let back = sbq_lz::decompress(&lz, xml.len()).unwrap();
         let parsed =
             envelope::parse_envelope(std::str::from_utf8(&back).unwrap(), |_| Some(ty.clone()))
                 .unwrap();

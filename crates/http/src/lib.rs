@@ -146,6 +146,11 @@ impl ClientConfig {
     pub fn buffer_pool_ref(&self) -> &BufferPool {
         &self.pool
     }
+
+    /// The size limits responses are read under.
+    pub fn limits_ref(&self) -> &Limits {
+        &self.limits
+    }
 }
 
 /// A blocking HTTP/1.1 client holding one persistent connection.

@@ -329,16 +329,6 @@ impl Response {
         }
     }
 
-    /// A `500` SOAP-fault-style response.
-    pub fn server_error(body: Vec<u8>) -> Response {
-        Response::with_status(
-            500,
-            "Internal Server Error",
-            "text/xml; charset=utf-8",
-            body,
-        )
-    }
-
     /// The server's span context from the `X-SBQ-Span` response header,
     /// if present and well-formed — what lets a client stitch the
     /// server's subtree under its own root span.

@@ -294,6 +294,11 @@ impl ServerConfig {
     pub fn buffer_pool_ref(&self) -> &BufferPool {
         &self.pool
     }
+
+    /// The size limits requests are read under.
+    pub fn limits_ref(&self) -> &Limits {
+        &self.limits
+    }
 }
 
 /// A running HTTP server. The handler runs on CPU-pool workers; it must
@@ -440,8 +445,7 @@ struct Conn {
     scan: usize,
     /// First byte of the current request, for the read histogram/span.
     read_start: Option<Instant>,
-    /// Generation for lazy deadline cancellation on the wheel.
-    timer_gen: u64,
+    timer: ConnTimer,
     idle: bool,
     registered: bool,
     /// Socket errored while a handler was in flight: discard its
@@ -656,9 +660,48 @@ fn set_interest(reactor: &Reactor, conn: &mut Conn, want: Interest) {
     }
 }
 
+/// A connection's deadline on the wheel. Each keep-alive request sets
+/// three (read, write, idle), nearly always later than the last, so they
+/// share one live entry, re-armed when it fires before the deadline.
+#[derive(Default)]
+struct ConnTimer {
+    /// The deadline the connection is under; `None` while a handler runs.
+    deadline: Option<Instant>,
+    /// When the live entry fires, and its generation: older entries are
+    /// lazily cancelled.
+    armed: Option<Instant>,
+    gen: u64,
+}
+
+impl ConnTimer {
+    /// Puts the connection under deadline `at`: the live entry serves
+    /// unless a fresh one would fire earlier (the wheel rounds `at` up to
+    /// the one tick boundary in `[at, at + WHEEL_TICK)`).
+    fn set(&mut self, wheel: &mut DeadlineWheel, token: Token, at: Instant) {
+        self.deadline = Some(at);
+        if self.armed.is_none_or(|fires| fires >= at + WHEEL_TICK) {
+            self.gen += 1;
+            self.armed = Some(wheel.arm(token, self.gen, at));
+        }
+    }
+
+    /// Whether entry `gen` firing at `now` expires the connection: not if
+    /// it is stale, nor if it fired before the deadline (it re-arms).
+    fn expired(&mut self, wheel: &mut DeadlineWheel, token: Token, gen: u64, now: Instant) -> bool {
+        if gen == self.gen {
+            self.armed = None;
+            match self.deadline {
+                Some(at) if at > now => self.set(wheel, token, at),
+                deadline => return deadline.is_some(),
+            }
+        }
+        false
+    }
+}
+
+/// Puts the connection under a deadline `d` from now.
 fn arm_deadline(wheel: &mut DeadlineWheel, conn: &mut Conn, d: Duration) {
-    conn.timer_gen += 1;
-    wheel.arm(conn.token, conn.timer_gen, Instant::now() + d);
+    conn.timer.set(wheel, conn.token, Instant::now() + d);
 }
 
 /// What `process_input` decided the connection needs next.
@@ -814,7 +857,7 @@ impl EventLoop {
             outbuf: Vec::new(),
             scan: 0,
             read_start: None,
-            timer_gen: 0,
+            timer: ConnTimer::default(),
             idle: false,
             registered: true,
             dead: false,
@@ -937,8 +980,9 @@ impl EventLoop {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
             return;
         };
-        if conn.token != token || conn.timer_gen != tgen {
-            return; // lazily cancelled
+        let now = Instant::now();
+        if conn.token != token || !conn.timer.expired(&mut self.wheel, token, tgen, now) {
+            return; // lazily cancelled, or re-armed for a later deadline
         }
         self.ctx.metrics.reactor_timeouts.inc();
         match conn.state {
@@ -1230,7 +1274,7 @@ impl EventLoop {
         else {
             return;
         };
-        conn.timer_gen += 1; // cancel the read deadline
+        conn.timer.deadline = None;
         let token = conn.token;
         let read_start = conn.read_start.take().unwrap_or_else(Instant::now);
         set_interest(&self.reactor, conn, Interest::NONE);
@@ -1522,7 +1566,7 @@ impl EventLoop {
             let ConnState::Write(job) = std::mem::replace(&mut conn.state, ConnState::Idle) else {
                 return;
             };
-            conn.timer_gen += 1; // cancel the write deadline
+            conn.timer.deadline = None;
             if let Some(req_span) = job.req_span {
                 drop(self.ctx.tracer.phase(
                     &self.ctx.metrics.write,
@@ -1846,6 +1890,46 @@ mod tests {
             Response::ok("text/plain", r.body.clone())
         })
         .unwrap()
+    }
+
+    #[test]
+    fn conn_timer_keeps_one_wheel_entry() {
+        let mut wheel = DeadlineWheel::new(WHEEL_TICK, WHEEL_SLOTS);
+        let mut timer = ConnTimer::default();
+        let token = Token(7);
+        let now = Instant::now();
+        // Back-to-back requests 50 µs apart: read and write deadlines
+        // 30 s out, idle 60 s out; the first tick's worth share the
+        // live entry's tick.
+        let first = now + Duration::from_secs(30);
+        for i in 0..2_000 {
+            let at = first + Duration::from_micros(50) * i;
+            timer.set(&mut wheel, token, at);
+            timer.set(&mut wheel, token, at + Duration::from_secs(30));
+        }
+        assert_eq!(wheel.len(), 1);
+        // The entry fires before the deadline: not expired, re-armed.
+        let last = first + Duration::from_micros(50) * 1_999 + Duration::from_secs(30);
+        let mut fired = Vec::new();
+        wheel.expire_into(first + WHEEL_TICK, &mut fired);
+        let [(tok, gen)] = fired[..] else {
+            panic!("expected one expiry, got {}", fired.len())
+        };
+        assert!(!timer.expired(&mut wheel, tok, gen, first + WHEEL_TICK));
+        assert_eq!(wheel.len(), 1);
+        // A stale generation never expires the connection.
+        assert!(!timer.expired(&mut wheel, tok, gen, last + WHEEL_TICK));
+        // The re-armed entry fires at the deadline and expires it.
+        fired.clear();
+        wheel.expire_into(last + WHEEL_TICK, &mut fired);
+        let [(tok, gen)] = fired[..] else {
+            panic!("expected one expiry, got {}", fired.len())
+        };
+        assert!(timer.expired(&mut wheel, tok, gen, last + WHEEL_TICK));
+        // An earlier deadline gets an entry of its own.
+        timer.set(&mut wheel, token, last + Duration::from_secs(1));
+        timer.set(&mut wheel, token, last + Duration::from_millis(100));
+        assert_eq!(wheel.len(), 2);
     }
 
     #[test]

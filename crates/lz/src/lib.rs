@@ -169,12 +169,20 @@ fn lzss_tokens(input: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a [`compress`]-produced buffer.
-pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
+/// Decompresses a [`compress`]-produced buffer of at most `max_out`
+/// original bytes.
+///
+/// The size header is checked against `max_out` before any buffer is
+/// reserved, so a few hostile bytes cannot claim gigabytes; a stream that
+/// would expand past its declared size is rejected as it grows.
+pub fn decompress(input: &[u8], max_out: usize) -> Result<Vec<u8>, LzError> {
     if input.len() < 5 {
         return Err(LzError("missing header"));
     }
     let expect = u32::from_le_bytes(input[..4].try_into().expect("len checked")) as usize;
+    if expect > max_out {
+        return Err(LzError("declared size exceeds the output limit"));
+    }
     match input[4] {
         0 => decode_tokens(&input[5..], expect),
         1 => {
@@ -182,6 +190,11 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
                 return Err(LzError("missing huffman header"));
             }
             let toklen = u32::from_le_bytes(input[5..9].try_into().expect("len checked")) as usize;
+            // An all-literal stream is the longest one that expands to
+            // `expect` bytes: one flag byte per eight literals.
+            if toklen > expect + expect.div_ceil(8) {
+                return Err(LzError("token stream longer than its output"));
+            }
             let tokens =
                 huffman::decode(&input[9..], toklen).ok_or(LzError("bad huffman stream"))?;
             decode_tokens(&tokens, expect)
@@ -190,7 +203,7 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, LzError> {
     }
 }
 
-/// Expands an LZSS token stream to `expect` bytes.
+/// Expands an LZSS token stream to exactly `expect` bytes.
 fn decode_tokens(input: &[u8], expect: usize) -> Result<Vec<u8>, LzError> {
     let mut out = Vec::with_capacity(expect);
     let mut i = 0;
@@ -214,6 +227,9 @@ fn decode_tokens(input: &[u8], expect: usize) -> Result<Vec<u8>, LzError> {
                 if dist == 0 || dist > out.len() {
                     return Err(LzError("back-reference outside window"));
                 }
+                if out.len() + len > expect {
+                    return Err(LzError("length mismatch"));
+                }
                 let start = out.len() - dist;
                 // Overlapping copies are the normal RLE case.
                 for k in 0..len {
@@ -228,9 +244,6 @@ fn decode_tokens(input: &[u8], expect: usize) -> Result<Vec<u8>, LzError> {
                 i += 1;
             }
         }
-    }
-    if out.len() != expect {
-        return Err(LzError("length mismatch"));
     }
     Ok(out)
 }
@@ -262,7 +275,7 @@ mod tests {
 
     fn round_trip(data: &[u8]) {
         let c = compress(data);
-        assert_eq!(decompress(&c).unwrap(), data);
+        assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -306,7 +319,7 @@ mod tests {
             c.len(),
             data.len()
         );
-        assert_eq!(decompress(&c).unwrap(), data);
+        assert_eq!(decompress(&c, data.len()).unwrap(), data);
     }
 
     #[test]
@@ -352,18 +365,18 @@ mod tests {
     #[test]
     fn corrupt_streams_rejected_not_panicking() {
         let c = compress(b"hello hello hello hello");
-        assert!(decompress(&c[..2]).is_err());
-        assert!(decompress(&c[..c.len() - 1]).is_err());
+        assert!(decompress(&c[..2], 64).is_err());
+        assert!(decompress(&c[..c.len() - 1], 64).is_err());
         let mut bad = c.clone();
         // Claim a huge original length.
         bad[0] = 0xff;
         bad[1] = 0xff;
-        assert!(decompress(&bad).is_err());
+        assert!(decompress(&bad, usize::MAX).is_err());
         // Corrupt a flag byte so a literal turns into a back-reference.
         if bad.len() > 5 {
             let mut b2 = c.clone();
             b2[4] = 0xff;
-            let _ = decompress(&b2); // any result, but no panic
+            let _ = decompress(&b2, 64); // any result, but no panic
         }
     }
 
@@ -376,7 +389,7 @@ mod tests {
     fn lzss_only_round_trips_and_is_weaker() {
         let data = b"<item>42</item>".repeat(500);
         let raw = compress_lzss_only(&data);
-        assert_eq!(decompress(&raw).unwrap(), data);
+        assert_eq!(decompress(&raw, data.len()).unwrap(), data);
         let full = compress(&data);
         assert!(
             full.len() <= raw.len(),

@@ -12,7 +12,7 @@ fn round_trip_arbitrary_bytes() {
     for _ in 0..CASES {
         let n = rng.gen_below(4096) as usize;
         let data: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-        assert_eq!(decompress(&compress(&data)).unwrap(), data);
+        assert_eq!(decompress(&compress(&data), data.len()).unwrap(), data);
     }
 }
 
@@ -23,7 +23,7 @@ fn round_trip_repetitive() {
         let byte = rng.next_u64() as u8;
         let n = rng.gen_below(20_000) as usize;
         let data = vec![byte; n];
-        assert_eq!(decompress(&compress(&data)).unwrap(), data);
+        assert_eq!(decompress(&compress(&data), data.len()).unwrap(), data);
     }
 }
 
@@ -37,7 +37,7 @@ fn round_trip_textish() {
             .collect();
         let doubled = format!("{s}{s}{s}");
         assert_eq!(
-            decompress(&compress(doubled.as_bytes())).unwrap(),
+            decompress(&compress(doubled.as_bytes()), doubled.len()).unwrap(),
             doubled.as_bytes()
         );
     }
@@ -46,9 +46,17 @@ fn round_trip_textish() {
 #[test]
 fn decompress_never_panics() {
     let mut rng = SmallRng::seed_from_u64(0x12_0004);
+    let mut headers = SmallRng::seed_from_u64(0x12_0005);
     for _ in 0..CASES {
         let n = rng.gen_below(512) as usize;
-        let data: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
-        let _ = decompress(&data);
+        let mut data: Vec<u8> = (0..n).map(|_| rng.next_u64() as u8).collect();
+        let _ = decompress(&data, usize::MAX);
+        // The same bytes under a small declared size, a known mode and a
+        // bound, so every case reaches the token and Huffman decoders.
+        if n >= 5 {
+            data[..4].copy_from_slice(&(headers.gen_below(4096) as u32).to_le_bytes());
+            data[4] = headers.gen_below(2) as u8;
+            let _ = decompress(&data, 4096);
+        }
     }
 }

@@ -3,6 +3,12 @@
 use crate::PbioError;
 use sbq_model::TypeDesc;
 
+/// Deepest List/Struct nesting a serialized descriptor may declare. The
+/// parser recurses once per level, so a hostile chain of tags must end in
+/// an error, not a stack overflow; the repo's deepest workload format
+/// nests about 8 levels.
+pub const MAX_NESTING: usize = 64;
+
 /// Byte order a format's scalars are laid out in. PBIO senders transmit in
 /// their *native* order; the receiver converts if its own order differs
 /// ("receiver makes right").
@@ -165,7 +171,7 @@ impl FormatDesc {
     /// Parses a serialized format description.
     pub fn from_bytes(buf: &[u8]) -> Result<FormatDesc, PbioError> {
         let mut pos = 0;
-        let desc = Self::read_from(buf, &mut pos)?;
+        let desc = Self::read_from(buf, &mut pos, 0)?;
         if pos != buf.len() {
             return Err(PbioError::TypeMismatch(
                 "trailing bytes after format".into(),
@@ -174,7 +180,8 @@ impl FormatDesc {
         Ok(desc)
     }
 
-    fn read_from(buf: &[u8], pos: &mut usize) -> Result<FormatDesc, PbioError> {
+    /// Reads a format nested `depth` List/Struct levels deep.
+    fn read_from(buf: &[u8], pos: &mut usize, depth: usize) -> Result<FormatDesc, PbioError> {
         let name = read_str(buf, pos)?;
         let bo = match read_u8(buf, pos)? {
             0 => ByteOrder::Little,
@@ -185,7 +192,7 @@ impl FormatDesc {
         let mut fields = Vec::with_capacity(nfields);
         for _ in 0..nfields {
             let fname = read_str(buf, pos)?;
-            let ty = read_wire_type(buf, pos)?;
+            let ty = read_wire_type(buf, pos, depth)?;
             fields.push(FieldDesc { name: fname, ty });
         }
         Ok(FormatDesc {
@@ -257,8 +264,12 @@ fn write_wire_type(out: &mut Vec<u8>, ty: &WireType) {
     }
 }
 
-fn read_wire_type(buf: &[u8], pos: &mut usize) -> Result<WireType, PbioError> {
-    Ok(match read_u8(buf, pos)? {
+fn read_wire_type(buf: &[u8], pos: &mut usize, depth: usize) -> Result<WireType, PbioError> {
+    let tag = read_u8(buf, pos)?;
+    if matches!(tag, 4 | 5) && depth >= MAX_NESTING {
+        return Err(PbioError::TooDeep(MAX_NESTING));
+    }
+    Ok(match tag {
         0 => WireType::Int {
             width: check_int_width(read_u8(buf, pos)?)?,
         },
@@ -268,8 +279,8 @@ fn read_wire_type(buf: &[u8], pos: &mut usize) -> Result<WireType, PbioError> {
         2 => WireType::Char,
         3 => WireType::Str,
         6 => WireType::Bytes,
-        4 => WireType::List(Box::new(read_wire_type(buf, pos)?)),
-        5 => WireType::Struct(Box::new(FormatDesc::read_from(buf, pos)?)),
+        4 => WireType::List(Box::new(read_wire_type(buf, pos, depth + 1)?)),
+        5 => WireType::Struct(Box::new(FormatDesc::read_from(buf, pos, depth + 1)?)),
         t => return Err(PbioError::BadTag(t)),
     })
 }
@@ -308,6 +319,29 @@ fn read_str(buf: &[u8], pos: &mut usize) -> Result<String, PbioError> {
 mod tests {
     use super::*;
     use sbq_model::workload;
+
+    /// A one-field descriptor whose field type is `lists` nested List
+    /// tags around a Char.
+    fn list_chain(lists: usize) -> Vec<u8> {
+        let mut buf = vec![0, 0, 0, 1, 0, 0, 0];
+        buf.resize(buf.len() + lists, 4);
+        buf.push(2);
+        buf
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        assert!(FormatDesc::from_bytes(&list_chain(MAX_NESTING)).is_ok());
+        assert_eq!(
+            FormatDesc::from_bytes(&list_chain(MAX_NESTING + 1)),
+            Err(PbioError::TooDeep(MAX_NESTING))
+        );
+        // A ~1 MB chain of List tags once overflowed the stack.
+        assert_eq!(
+            FormatDesc::from_bytes(&list_chain(1 << 20)),
+            Err(PbioError::TooDeep(MAX_NESTING))
+        );
+    }
 
     #[test]
     fn from_type_maps_soup_schema() {

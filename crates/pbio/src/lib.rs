@@ -57,6 +57,9 @@ pub enum PbioError {
     /// wire header can carry; encoding it would silently corrupt the
     /// stream.
     TooLarge(usize),
+    /// A format descriptor nested List/Struct types deeper than the limit
+    /// ([`format::MAX_NESTING`]).
+    TooDeep(usize),
 }
 
 impl std::fmt::Display for PbioError {
@@ -72,6 +75,7 @@ impl std::fmt::Display for PbioError {
             PbioError::TooLarge(n) => {
                 write!(f, "length {n} exceeds the 4 GiB wire limit")
             }
+            PbioError::TooDeep(n) => write!(f, "format nesting deeper than {n} levels"),
         }
     }
 }

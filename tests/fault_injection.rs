@@ -187,3 +187,38 @@ fn slow_loris_header_limit_enforced() {
     let resp = good.post("/x", "text/xml", b"<bad/>".to_vec()).unwrap();
     assert_eq!(resp.status, 500); // fault (bad envelope), but served
 }
+
+#[test]
+fn lz_body_expanding_past_body_limit_gets_fault() {
+    // The body limit bounds what a compressed body expands to, not just
+    // the bytes on the wire.
+    let limit = 64 * 1024;
+    let svc = ServiceDef::new("Echo", "urn:fi:echo", "x").with_operation(
+        "echo",
+        TypeDesc::list_of(TypeDesc::Int),
+        TypeDesc::list_of(TypeDesc::Int),
+    );
+    let server = SoapServerBuilder::new(&svc, WireEncoding::CompressedXml)
+        .unwrap()
+        .handle("echo", |v| v)
+        .transport(soap_binq::ServerConfig::default().max_body_bytes(limit))
+        .bind("127.0.0.1:0".parse().unwrap())
+        .unwrap();
+    let mut client = SoapClient::connect(server.addr(), &svc, WireEncoding::CompressedXml).unwrap();
+
+    // About 1.4 MB of envelope that compresses far below the limit.
+    let big = Value::IntArray(vec![7; 100_000]);
+    let envelope = soap_binq::envelope::build_request("echo", &big, &Default::default());
+    assert!(envelope.len() > 16 * limit);
+    assert!(sbq_lz::compress(envelope.as_bytes()).len() < limit / 2);
+    let err = client.call("echo", big).unwrap_err();
+    assert!(
+        matches!(&err, soap_binq::SoapError::Fault { message, .. } if message.contains("limit")),
+        "{err}"
+    );
+    assert_eq!(server.faults(), 1);
+
+    // The connection and the server both serve the next call.
+    let small = Value::IntArray(vec![1, 2, 3]);
+    assert_eq!(client.call("echo", small.clone()).unwrap(), small);
+}
