@@ -149,6 +149,7 @@ struct StormConn {
     out_pos: usize,
     inbuf: Vec<u8>,
     calls_left: usize,
+    /// When the request in flight started to be written.
     t0: Instant,
     writing: bool,
     done: bool,
@@ -263,6 +264,11 @@ fn run_storm(n: usize, calls: usize, workers: usize, reg: &Registry) -> Histogra
             }
             loop {
                 if c.writing {
+                    if c.out_pos == 0 {
+                        // A call starts when its request starts to be
+                        // written, not when the connection was opened.
+                        c.t0 = Instant::now();
+                    }
                     match c.stream.write(&request[c.out_pos..]) {
                         Ok(0) => break,
                         Ok(k) => {
@@ -305,7 +311,6 @@ fn run_storm(n: usize, calls: usize, workers: usize, reg: &Registry) -> Histogra
                                     pending -= 1;
                                     break;
                                 }
-                                c.t0 = Instant::now();
                                 c.out_pos = 0;
                                 c.writing = true;
                                 reactor

@@ -17,7 +17,8 @@
 //!   band transition (degrade under load, recover after);
 //! * with admission on, overload-phase p99 time-to-answer is lower than
 //!   with admission off (shedding bounds tail latency instead of
-//!   queueing blindly).
+//!   queueing blindly). Both p99s are exact nearest-rank values over
+//!   every overload-phase sample, not histogram estimates.
 //!
 //! Results (p50/p99 with admission on vs off, plus the fleet counters)
 //! go to `BENCH_qos.json`.
@@ -142,6 +143,10 @@ struct FleetConn {
 struct RunResult {
     all: HistogramSnapshot,
     overload: HistogramSnapshot,
+    /// Exact overload-phase p99 (ns), from every sample rather than the
+    /// histogram, whose ±6.25% buckets can put both runs' p99 in one
+    /// bucket and make the on/off comparison a tie.
+    overload_p99: u64,
     sheds: u64,
     metrics: Vec<expo::Sample>,
 }
@@ -153,6 +158,16 @@ fn sample_value(samples: &[expo::Sample], name: &str) -> f64 {
         .find(|s| s.name == name && s.quantile.is_none())
         .map(|s| s.value)
         .unwrap_or(0.0)
+}
+
+/// Nearest-rank quantile of `samples` (0 when empty).
+fn exact_quantile(samples: &mut [u64], q: f64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    samples.sort_unstable();
+    let rank = (q * samples.len() as f64).ceil() as usize;
+    samples[rank.clamp(1, samples.len()) - 1]
 }
 
 fn run_fleet(
@@ -223,6 +238,7 @@ fn run_fleet(
 
     let hist: Histogram = reg.histogram(&format!("bench.fleet.{label}.call_ns"));
     let hist_overload: Histogram = reg.histogram(&format!("bench.fleet.{label}.overload_ns"));
+    let mut overload_ns: Vec<u64> = Vec::new();
     let mut events = Vec::new();
     let mut peak_seen = false;
     for round in 0..rounds {
@@ -336,6 +352,7 @@ fn run_fleet(
                                     hist.record_duration(dt);
                                     if overloaded_phase {
                                         hist_overload.record_duration(dt);
+                                        overload_ns.push(dt.as_nanos() as u64);
                                     }
                                     if status == 503 {
                                         c.sheds += 1;
@@ -399,6 +416,7 @@ fn run_fleet(
     RunResult {
         all: hist.snapshot(),
         overload: hist_overload.snapshot(),
+        overload_p99: exact_quantile(&mut overload_ns, 0.99),
         sheds: conns.iter().map(|c| c.sheds).sum(),
         metrics,
     }
@@ -443,7 +461,7 @@ fn main() {
             "{label:>7} | {} | {} | {} | {}",
             fmt_dur(Duration::from_nanos(r.all.quantile(0.5))),
             fmt_dur(Duration::from_nanos(r.all.quantile(0.99))),
-            fmt_dur(Duration::from_nanos(r.overload.quantile(0.99))),
+            fmt_dur(Duration::from_nanos(r.overload_p99)),
             r.sheds,
         );
         results.push(r);
@@ -475,8 +493,7 @@ fn main() {
     if on.sheds < 1 {
         failures.push("clients saw no 503s despite qos_fleet_shed".to_string());
     }
-    let on_p99 = on.overload.quantile(0.99);
-    let off_p99 = off.overload.quantile(0.99);
+    let (on_p99, off_p99) = (on.overload_p99, off.overload_p99);
     if on_p99 >= off_p99 {
         failures.push(format!(
             "admission control did not bound the overload tail: p99 on={} off={}",
@@ -493,11 +510,12 @@ fn main() {
 
     let fleet_json = |r: &RunResult| {
         format!(
-            "{{\"all\":{},\"overload\":{},\"sheds\":{},\
+            "{{\"all\":{},\"overload\":{},\"overload_p99_exact\":{},\"sheds\":{},\
              \"fleet_shed\":{},\"fleet_degraded\":{},\"fleet_evictions\":{},\
              \"band_switch_degrade\":{},\"band_switch_upgrade\":{}}}",
             expo::histogram_json(&r.all),
             expo::histogram_json(&r.overload),
+            r.overload_p99,
             r.sheds,
             sample_value(&r.metrics, "qos_fleet_shed"),
             sample_value(&r.metrics, "qos_fleet_degraded"),

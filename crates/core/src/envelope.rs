@@ -170,10 +170,10 @@ pub fn parse_envelope_with<T: Borrow<TypeDesc>>(
 
     loop {
         match p.next()? {
-            Event::Start { name, .. } if local(&name) == "Header" => {
+            Event::Start { name, .. } if local(name) == "Header" => {
                 header = parse_header(&mut p)?;
             }
-            Event::Start { name, .. } if local(&name) == "Body" => {
+            Event::Start { name, .. } if local(name) == "Body" => {
                 let (op, value) = parse_body(&mut p, resolve, &header)?;
                 // Consume </Body> and </Envelope>.
                 consume_end(&mut p)?;
@@ -201,11 +201,11 @@ fn parse_header(p: &mut PullParser<'_>) -> Result<QosHeader, SoapError> {
         match p.next()? {
             Event::Start { name, .. } => {
                 let text = p.text_content()?;
-                match local(&name) {
+                match local(name) {
                     "timestamp" => h.timestamp_us = text.trim().parse().unwrap_or(0),
                     "rtt" => h.rtt_ms = text.trim().parse().ok(),
                     "serverTime" => h.server_time_us = text.trim().parse().unwrap_or(0),
-                    "messageType" => h.message_type = Some(text),
+                    "messageType" => h.message_type = Some(text.into_owned()),
                     _ => {} // unknown header entries are ignored
                 }
             }
@@ -224,13 +224,12 @@ fn parse_body<T: Borrow<TypeDesc>>(
     loop {
         match p.next()? {
             Event::Start { name, .. } => {
-                if local(&name) == "Fault" {
+                if local(name) == "Fault" {
                     return Err(parse_fault(p));
                 }
-                let op = name.clone();
-                let ty = resolve(&op, header).ok_or_else(|| {
+                let ty = resolve(name, header).ok_or_else(|| {
                     SoapError::protocol(format!(
-                        "unknown operation element <{op}>{}",
+                        "unknown operation element <{name}>{}",
                         header
                             .message_type
                             .as_deref()
@@ -239,7 +238,7 @@ fn parse_body<T: Borrow<TypeDesc>>(
                     ))
                 })?;
                 let value = value_from_xml(p, ty.borrow())?;
-                return Ok((op, value));
+                return Ok((name.to_string(), value));
             }
             Event::Text(_) => {}
             other => return Err(SoapError::xml(format!("empty soap body ({other:?})"))),
@@ -254,9 +253,9 @@ fn parse_fault(p: &mut PullParser<'_>) -> SoapError {
         match p.next() {
             Ok(Event::Start { name, .. }) => {
                 let text = p.text_content().unwrap_or_default();
-                match local(&name) {
-                    "faultcode" => code = text,
-                    "faultstring" => message = text,
+                match local(name) {
+                    "faultcode" => code = text.into_owned(),
+                    "faultstring" => message = text.into_owned(),
                     _ => {}
                 }
             }
@@ -270,7 +269,7 @@ fn parse_fault(p: &mut PullParser<'_>) -> SoapError {
 fn expect_start(p: &mut PullParser<'_>, what: &str) -> Result<(), SoapError> {
     loop {
         match p.next()? {
-            Event::Start { name, .. } if local(&name) == what => return Ok(()),
+            Event::Start { name, .. } if local(name) == what => return Ok(()),
             Event::Start { name, .. } => {
                 return Err(SoapError::xml(format!("expected <{what}>, found <{name}>")))
             }

@@ -11,6 +11,7 @@
 use crate::SoapError;
 use sbq_model::{numfmt, StructValue, TypeDesc, Value};
 use sbq_xml::{escape_text_into, Event, PullParser};
+use std::str::FromStr;
 
 /// Serializes a value as an XML element named `tag` (compact form — the
 /// wire representation whose size the experiments measure).
@@ -125,69 +126,41 @@ fn write_leaf(out: &mut String, tag: &str, text: &str) {
 /// Parses the XML element currently *opened* in `parser` into a value of
 /// schema `ty`. The caller has consumed the `Start` event; this consumes
 /// everything up to and including the matching `End`.
+///
+/// Scalar text is parsed straight from the borrowed document slice, and
+/// `list_of(Int|Float)` fills its packed array directly, so decoding an
+/// entity-free numeric array allocates a fixed handful of times whatever
+/// its length.
 pub fn value_from_xml(parser: &mut PullParser<'_>, ty: &TypeDesc) -> Result<Value, SoapError> {
     match ty {
-        TypeDesc::Int => {
-            let text = parser.text_content()?;
-            text.trim()
-                .parse::<i64>()
-                .map(Value::Int)
-                .map_err(|_| SoapError::xml(format!("bad int literal {text:?}")))
-        }
-        TypeDesc::Float => {
-            let text = parser.text_content()?;
-            text.trim()
-                .parse::<f64>()
-                .map(Value::Float)
-                .map_err(|_| SoapError::xml(format!("bad float literal {text:?}")))
-        }
-        TypeDesc::Char => {
-            let text = parser.text_content()?;
-            text.trim()
-                .parse::<u8>()
-                .map(Value::Char)
-                .map_err(|_| SoapError::xml(format!("bad char literal {text:?}")))
-        }
-        TypeDesc::Str => Ok(Value::Str(parser.text_content()?)),
+        TypeDesc::Int => parse_literal(&parser.text_content()?, "int").map(Value::Int),
+        TypeDesc::Float => parse_literal(&parser.text_content()?, "float").map(Value::Float),
+        TypeDesc::Char => parse_literal(&parser.text_content()?, "char").map(Value::Char),
+        TypeDesc::Str => Ok(Value::Str(parser.text_content()?.into_owned())),
         TypeDesc::Bytes => {
             let text = parser.text_content()?;
             sbq_model::base64::decode(&text)
                 .map(Value::Bytes)
                 .ok_or_else(|| SoapError::xml("bad base64 literal"))
         }
-        TypeDesc::List(elem) => {
-            let mut items = Vec::new();
-            loop {
-                match parser.next()? {
-                    Event::Start { .. } => items.push(value_from_xml(parser, elem)?),
-                    Event::End { .. } => break,
-                    Event::Text(t) if t.trim().is_empty() => {}
-                    Event::Text(t) => {
-                        return Err(SoapError::xml(format!("unexpected text {t:?} in list")))
-                    }
-                    Event::Eof => return Err(SoapError::xml("eof in list")),
-                }
+        TypeDesc::List(elem) => match **elem {
+            TypeDesc::Int => scalar_list(parser, "int").map(Value::IntArray),
+            TypeDesc::Float => scalar_list(parser, "float").map(Value::FloatArray),
+            _ => {
+                let mut items = Vec::new();
+                each_item(parser, |p| {
+                    items.push(value_from_xml(p, elem)?);
+                    Ok(())
+                })?;
+                Ok(Value::List(items))
             }
-            // Pack homogeneous scalar lists.
-            Ok(match **elem {
-                TypeDesc::Int => {
-                    Value::IntArray(items.iter().map(Value::as_int).collect::<Result<_, _>>()?)
-                }
-                TypeDesc::Float => Value::FloatArray(
-                    items
-                        .iter()
-                        .map(Value::as_float)
-                        .collect::<Result<_, _>>()?,
-                ),
-                _ => Value::List(items),
-            })
-        }
+        },
         TypeDesc::Struct(sd) => {
-            let mut fields: Vec<(String, Value)> = Vec::with_capacity(sd.fields.len());
+            let mut fields: Vec<(&str, Value)> = Vec::with_capacity(sd.fields.len());
             loop {
                 match parser.next()? {
                     Event::Start { name, .. } => {
-                        let fty = sd.field(&name).ok_or_else(|| {
+                        let fty = sd.field(name).ok_or_else(|| {
                             SoapError::xml(format!("unknown field <{name}> in {}", sd.name))
                         })?;
                         fields.push((name, value_from_xml(parser, fty)?));
@@ -208,7 +181,7 @@ pub fn value_from_xml(parser: &mut PullParser<'_>, ty: &TypeDesc) -> Result<Valu
                     .iter()
                     .position(|(n, _)| n == fname)
                     .ok_or_else(|| SoapError::xml(format!("missing field <{fname}>")))?;
-                ordered.push(fields.remove(idx));
+                ordered.push((fname.clone(), fields.remove(idx).1));
             }
             if let Some((extra, _)) = fields.first() {
                 return Err(SoapError::xml(format!("duplicate field <{extra}>")));
@@ -216,6 +189,46 @@ pub fn value_from_xml(parser: &mut PullParser<'_>, ty: &TypeDesc) -> Result<Valu
             Ok(Value::Struct(StructValue::new(sd.name.clone(), ordered)))
         }
     }
+}
+
+fn parse_literal<T: FromStr>(text: &str, what: &str) -> Result<T, SoapError> {
+    text.trim()
+        .parse()
+        .map_err(|_| SoapError::xml(format!("bad {what} literal {text:?}")))
+}
+
+/// Runs `item` on each child element of the open list element (the
+/// child's `Start` already consumed) and consumes the list's `End`.
+fn each_item<'a>(
+    parser: &mut PullParser<'a>,
+    mut item: impl FnMut(&mut PullParser<'a>) -> Result<(), SoapError>,
+) -> Result<(), SoapError> {
+    loop {
+        match parser.next()? {
+            Event::Start { .. } => item(parser)?,
+            Event::End { .. } => return Ok(()),
+            Event::Text(t) if t.trim().is_empty() => {}
+            Event::Text(t) => return Err(SoapError::xml(format!("unexpected text {t:?} in list"))),
+            Event::Eof => return Err(SoapError::xml("eof in list")),
+        }
+    }
+}
+
+/// Smallest well-formed scalar item, `<i>0</i>`: the unparsed rest of the
+/// document can hold at most `remaining / MIN_ITEM_BYTES` more items.
+const MIN_ITEM_BYTES: usize = 8;
+
+/// Parses a list of numeric items straight into its packed array. The
+/// array is sized once from the input still to parse and trimmed at the
+/// end, so it costs the same two allocations at any length.
+fn scalar_list<T: FromStr>(parser: &mut PullParser<'_>, what: &str) -> Result<Vec<T>, SoapError> {
+    let mut items = Vec::with_capacity(parser.remaining() / MIN_ITEM_BYTES);
+    each_item(parser, |p| {
+        items.push(parse_literal(&p.text_content()?, what)?);
+        Ok(())
+    })?;
+    items.shrink_to_fit();
+    Ok(items)
 }
 
 /// Parses a standalone XML document consisting of one element into a value
@@ -323,6 +336,51 @@ mod tests {
             parse_document("<m>text<a>1</a></m>", &ty).is_err(),
             "stray text"
         );
+    }
+
+    #[test]
+    fn malformed_numeric_lists_are_errors() {
+        for ty in [
+            TypeDesc::list_of(TypeDesc::Int),
+            TypeDesc::list_of(TypeDesc::Float),
+        ] {
+            for (doc, what) in [
+                ("<p><item>1</item><item>2</p>", "unclosed <item>"),
+                ("<p><item>1</item><item>2</itme></p>", "mismatched end tag"),
+                (
+                    "<p><item>1</item><item><x/></item></p>",
+                    "element in an item",
+                ),
+                ("<p><item>1</item><item>1.5.5</item></p>", "bad literal"),
+                ("<p><item>1</item><item></item></p>", "empty item"),
+                ("<p><item>1</item>junk<item>2</item></p>", "stray text"),
+                ("<p><item>1</item>", "unclosed list"),
+            ] {
+                assert!(parse_document(doc, &ty).is_err(), "{ty:?}: {what}");
+            }
+        }
+        let err = parse_document(
+            "<p><item>7</item><item>x</item></p>",
+            &TypeDesc::list_of(TypeDesc::Int),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("bad int literal \"x\""), "{err}");
+    }
+
+    #[test]
+    fn numeric_items_trim_whitespace_and_decode_references() {
+        let v = parse_document(
+            "<p><item> 1.5\n</item><item>&#45;2</item><item>&#x33;e1</item></p>",
+            &TypeDesc::list_of(TypeDesc::Float),
+        )
+        .unwrap();
+        assert_eq!(v, Value::FloatArray(vec![1.5, -2.0, 30.0]));
+        let v = parse_document(
+            "<p>\n <item>\t-9 </item>\n</p>",
+            &TypeDesc::list_of(TypeDesc::Int),
+        )
+        .unwrap();
+        assert_eq!(v, Value::IntArray(vec![-9]));
     }
 
     #[test]

@@ -94,6 +94,20 @@ fn repeated_calls_amortize_format_registration() {
 }
 
 #[test]
+fn failed_pbio_encode_does_not_lose_the_format_announcement() {
+    let (server, svc) = start_echo(WireEncoding::Pbio);
+    let mut client = SoapClient::connect(server.addr(), &svc, WireEncoding::Pbio).unwrap();
+    // A value that does not fit the operation's format fails to encode,
+    // before anything is sent...
+    assert!(client
+        .call("echo_array", Value::Str("not an array".into()))
+        .is_err());
+    // ...so the next, well-typed call must still carry the registration.
+    let arr = Value::IntArray(vec![1, 2, 3]);
+    assert_eq!(client.call("echo_array", arr.clone()).unwrap(), arr);
+}
+
+#[test]
 fn unknown_operation_faults() {
     for enc in all_encodings() {
         let (server, svc) = start_echo(enc);

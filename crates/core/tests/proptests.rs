@@ -78,6 +78,103 @@ fn marshal_round_trips() {
     }
 }
 
+/// Bit-exact float comparison (NaN matches any NaN; `-0.0` differs
+/// from `0.0`).
+fn same_float(a: f64, b: f64) -> bool {
+    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+}
+
+/// Rewrites the text of every `<item>` in `xml`: some items are padded
+/// with XML whitespace, and some have their first character written as
+/// a decimal or hex character reference. Both must decode to the same
+/// number.
+fn disguise_items(xml: &str, rng: &mut SmallRng) -> String {
+    const WS: [&str; 4] = [" ", "\t", "\n", "\r\n"];
+    let mut out = String::with_capacity(xml.len() * 2);
+    let mut rest = xml;
+    while let Some(open) = rest.find("<item>") {
+        let text_start = open + "<item>".len();
+        let close = text_start + rest[text_start..].find("</item>").unwrap();
+        out.push_str(&rest[..text_start]);
+        let text = &rest[text_start..close];
+        if rng.gen_bool(0.3) {
+            out.push_str(WS[rng.gen_below(4) as usize]);
+        }
+        let first = text.chars().next().unwrap();
+        match rng.gen_below(4) {
+            0 => out.push_str(&format!("&#{};{}", first as u32, &text[1..])),
+            1 => out.push_str(&format!("&#x{:X};{}", first as u32, &text[1..])),
+            _ => out.push_str(text),
+        }
+        if rng.gen_bool(0.3) {
+            out.push_str(WS[rng.gen_below(4) as usize]);
+        }
+        rest = &rest[close..];
+    }
+    out.push_str(rest);
+    out
+}
+
+#[test]
+fn numeric_arrays_round_trip_through_disguised_xml() {
+    let specials_f = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 3.0, // subnormal
+        -5e-324,                 // smallest subnormal
+        f64::MIN_POSITIVE,
+        f64::MAX,
+        f64::MIN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    let specials_i = [i64::MIN, i64::MAX, 0, -1, 1];
+    let mut rng = SmallRng::seed_from_u64(0xc0de_0006);
+    for case in 0..CASES {
+        let n = rng.gen_below(40) as usize;
+        let floats: Vec<f64> = (0..n)
+            .map(|_| match rng.gen_below(3) {
+                0 => specials_f[rng.gen_below(specials_f.len() as u64) as usize],
+                _ => f64::from_bits(rng.next_u64()),
+            })
+            .collect();
+        let ints: Vec<i64> = (0..n)
+            .map(|_| match rng.gen_below(3) {
+                0 => specials_i[rng.gen_below(specials_i.len() as u64) as usize],
+                _ => rng.next_u64() as i64,
+            })
+            .collect();
+
+        let xml = marshal::value_to_xml(&Value::FloatArray(floats.clone()), "p");
+        let xml = disguise_items(&xml, &mut rng);
+        let back = marshal::parse_document(&xml, &TypeDesc::list_of(TypeDesc::Float));
+        let back = match back {
+            Ok(Value::FloatArray(v)) => v,
+            other => panic!("case {case}: {other:?} from {xml}"),
+        };
+        assert_eq!(back.len(), floats.len(), "case {case}: {xml}");
+        for (a, b) in floats.iter().zip(&back) {
+            assert!(same_float(*a, *b), "case {case}: {a:e} came back as {b:e}");
+        }
+
+        let xml = marshal::value_to_xml(&Value::IntArray(ints.clone()), "p");
+        let xml = disguise_items(&xml, &mut rng);
+        let back = marshal::parse_document(&xml, &TypeDesc::list_of(TypeDesc::Int));
+        assert_eq!(back.ok(), Some(Value::IntArray(ints)), "case {case}: {xml}");
+
+        // The same values as scalars.
+        for x in floats.iter().take(4) {
+            let xml = marshal::value_to_xml(&Value::Float(*x), "item");
+            let xml = disguise_items(&xml, &mut rng);
+            match marshal::parse_document(&xml, &TypeDesc::Float) {
+                Ok(Value::Float(b)) => assert!(same_float(*x, b), "{x:e} came back as {b:e}"),
+                other => panic!("case {case}: {other:?} from {xml}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn envelope_round_trips() {
     let mut rng = SmallRng::seed_from_u64(0xc0de_0002);

@@ -8,6 +8,7 @@ use crate::wire::{write_frame_header, WireFrame, WireMessage, MSG_DATA, MSG_FORM
 use crate::PbioError;
 use sbq_model::Value;
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -48,7 +49,7 @@ pub struct PbioEndpoint {
     /// Formats this endpoint knows (receiver side).
     known: HashMap<u32, FormatDesc>,
     /// Compiled plans keyed by (wire format id, native format hash).
-    plans: HashMap<(u32, u64), Arc<ConversionPlan>>,
+    plans: HashMap<(u32, u64), ConversionPlan>,
     stats: EndpointStats,
 }
 
@@ -94,6 +95,9 @@ impl PbioEndpoint {
         desc: &FormatDesc,
     ) -> Result<Vec<WireMessage>, PbioError> {
         let id = self.server.register(desc)?;
+        // The format counts as announced only once a data frame that
+        // carries the registration has been produced.
+        let payload = encode(value, desc)?;
         let mut out = Vec::with_capacity(2);
         if self.announced.insert(id) {
             let reg = WireMessage::FormatReg {
@@ -103,7 +107,6 @@ impl PbioEndpoint {
             self.stats.reg_bytes_sent += reg.wire_len() as u64;
             out.push(reg);
         }
-        let payload = encode(value, desc)?;
         let data = WireMessage::Data {
             format_id: id,
             payload,
@@ -117,7 +120,8 @@ impl PbioEndpoint {
     /// Like [`PbioEndpoint::send`], but frames and encodes directly into
     /// `out` (typically a pooled body buffer): the payload is written in
     /// place behind a reserved length header, eliminating the
-    /// encode-then-copy of assembling [`WireMessage`]s.
+    /// encode-then-copy of assembling [`WireMessage`]s. On error `out` is
+    /// left as it was passed in.
     pub fn send_into(
         &mut self,
         value: &Value,
@@ -125,21 +129,23 @@ impl PbioEndpoint {
         out: &mut Vec<u8>,
     ) -> Result<(), PbioError> {
         let id = self.server.register(desc)?;
-        if self.announced.insert(id) {
-            let desc_bytes = desc.to_bytes();
-            write_frame_header(out, MSG_FORMAT_REG, id, desc_bytes.len())?;
-            out.extend_from_slice(&desc_bytes);
-            self.stats.reg_bytes_sent += (9 + desc_bytes.len()) as u64;
+        let start = out.len();
+        let announce = !self.announced.contains(&id);
+        let data_len = match frame_into(value, desc, id, announce, out) {
+            Ok(payload_len) => 9 + payload_len,
+            Err(e) => {
+                // Drop the registration frame with the failed data frame:
+                // the id stays unannounced, so the next send carries it.
+                out.truncate(start);
+                return Err(e);
+            }
+        };
+        if announce {
+            self.announced.insert(id);
+            // Everything written before the data frame.
+            self.stats.reg_bytes_sent += (out.len() - start - data_len) as u64;
         }
-        // Reserve the data header, encode the payload in place, then patch
-        // the length once it is known.
-        write_frame_header(out, MSG_DATA, id, 0)?;
-        let body_start = out.len();
-        encode_into(value, desc, out)?;
-        let payload_len = out.len() - body_start;
-        let len = u32::try_from(payload_len).map_err(|_| PbioError::TooLarge(payload_len))?;
-        out[body_start - 4..body_start].copy_from_slice(&len.to_le_bytes());
-        self.stats.data_bytes_sent += (9 + payload_len) as u64;
+        self.stats.data_bytes_sent += data_len as u64;
         self.stats.messages_sent += 1;
         Ok(())
     }
@@ -173,9 +179,9 @@ impl PbioEndpoint {
                 Ok(None)
             }
             WireFrame::Data { format_id, payload } => {
-                let wire = match self.known.get(&format_id) {
-                    Some(d) => d.clone(),
-                    None => {
+                let wire = match self.known.entry(format_id) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
                         // "Whenever a new type is encountered, the
                         // application consults the format server."
                         self.stats.server_consultations += 1;
@@ -183,35 +189,49 @@ impl PbioEndpoint {
                             .server
                             .lookup(format_id)?
                             .ok_or(PbioError::UnknownFormat(format_id))?;
-                        self.known.insert(format_id, d.clone());
                         self.stats.formats_cached += 1;
-                        d
+                        e.insert(d)
                     }
                 };
-                let plan = self.plan_for(format_id, &wire, native)?;
+                let native = native.unwrap_or(wire);
+                let plan = match self.plans.entry((format_id, hash_desc(native))) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(e) => {
+                        self.stats.plans_compiled += 1;
+                        e.insert(ConversionPlan::compile(wire, native)?)
+                    }
+                };
                 let v = plan.execute(payload)?;
                 self.stats.messages_received += 1;
                 Ok(Some(v))
             }
         }
     }
+}
 
-    fn plan_for(
-        &mut self,
-        id: u32,
-        wire: &FormatDesc,
-        native: Option<&FormatDesc>,
-    ) -> Result<Arc<ConversionPlan>, PbioError> {
-        let native_desc = native.unwrap_or(wire);
-        let key = (id, hash_desc(native_desc));
-        if let Some(p) = self.plans.get(&key) {
-            return Ok(Arc::clone(p));
-        }
-        let plan = Arc::new(ConversionPlan::compile(wire, native_desc)?);
-        self.stats.plans_compiled += 1;
-        self.plans.insert(key, Arc::clone(&plan));
-        Ok(plan)
+/// Writes the registration frame (when `announce`) and the data frame for
+/// `value` to `out`; returns the data payload length.
+fn frame_into(
+    value: &Value,
+    desc: &FormatDesc,
+    id: u32,
+    announce: bool,
+    out: &mut Vec<u8>,
+) -> Result<usize, PbioError> {
+    if announce {
+        let desc_bytes = desc.to_bytes();
+        write_frame_header(out, MSG_FORMAT_REG, id, desc_bytes.len())?;
+        out.extend_from_slice(&desc_bytes);
     }
+    // Reserve the data header, encode the payload in place, then patch
+    // the length once it is known.
+    write_frame_header(out, MSG_DATA, id, 0)?;
+    let body_start = out.len();
+    encode_into(value, desc, out)?;
+    let payload_len = out.len() - body_start;
+    let len = u32::try_from(payload_len).map_err(|_| PbioError::TooLarge(payload_len))?;
+    out[body_start - 4..body_start].copy_from_slice(&len.to_le_bytes());
+    Ok(payload_len)
 }
 
 fn hash_desc(d: &FormatDesc) -> u64 {
@@ -363,5 +383,30 @@ mod tests {
         assert_eq!(s.data_bytes_sent, (9 + 4 + 800) as u64);
         tx.reset_stats();
         assert_eq!(tx.stats(), EndpointStats::default());
+    }
+
+    #[test]
+    fn failed_encode_keeps_the_format_unannounced() {
+        let (mut tx, mut rx) = pair();
+        let desc = FormatDesc::from_type(
+            &sbq_model::TypeDesc::list_of(sbq_model::TypeDesc::Int),
+            FormatOptions::default(),
+        )
+        .unwrap();
+        let bad = Value::Str("not an array".into());
+        assert!(tx.send(&bad, &desc).is_err());
+        let mut out = b"prefix".to_vec();
+        assert!(tx.send_into(&bad, &desc, &mut out).is_err());
+        assert_eq!(out, b"prefix", "partial frames are dropped");
+        assert_eq!(tx.stats(), EndpointStats::default());
+
+        let v = Value::IntArray(vec![1, 2, 3]);
+        let msgs = tx.send(&v, &desc).unwrap();
+        assert!(matches!(msgs[0], WireMessage::FormatReg { .. }));
+        let got: Vec<_> = msgs
+            .iter()
+            .filter_map(|m| rx.receive(m, None).unwrap())
+            .collect();
+        assert_eq!(got, vec![v]);
     }
 }

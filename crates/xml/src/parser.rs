@@ -5,23 +5,30 @@
 //! Well-formedness (balanced tags, attribute syntax) is enforced; DTDs and
 //! namespace *resolution* are out of scope (prefixes are preserved in
 //! names, which is all SOAP envelope handling needs).
+//!
+//! Events borrow from the document: names are slices of it, and text and
+//! attribute values are [`Cow::Borrowed`] unless an entity reference had
+//! to be decoded. Pulling a document of entity-free leaves therefore
+//! allocates nothing per element.
 
 use crate::escape::unescape;
+use sbq_runtime::simd;
+use std::borrow::Cow;
 use std::fmt;
 
-/// A parse event.
+/// A parse event, borrowing from the parsed document.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
+pub enum Event<'a> {
     /// `<name attr="v">` — attributes are unescaped.
     Start {
-        name: String,
-        attrs: Vec<(String, String)>,
+        name: &'a str,
+        attrs: Vec<(&'a str, Cow<'a, str>)>,
     },
     /// `</name>`, also synthesized for self-closing `<name/>`.
-    End { name: String },
+    End { name: &'a str },
     /// Character data (entity references resolved). Whitespace-only runs
     /// between elements are skipped.
-    Text(String),
+    Text(Cow<'a, str>),
     /// End of document.
     Eof,
 }
@@ -56,11 +63,11 @@ impl std::error::Error for XmlError {}
 pub struct PullParser<'a> {
     src: &'a str,
     pos: usize,
-    stack: Vec<String>,
+    stack: Vec<&'a str>,
     done: bool,
     /// Name whose synthesized `End` event (from a self-closing tag) is due
     /// before any further input is consumed.
-    pending_end: Option<String>,
+    pending_end: Option<&'a str>,
 }
 
 impl<'a> PullParser<'a> {
@@ -80,6 +87,11 @@ impl<'a> PullParser<'a> {
         self.pos
     }
 
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.src.len() - self.pos
+    }
+
     /// Depth of currently-open elements.
     pub fn depth(&self) -> usize {
         self.stack.len()
@@ -97,7 +109,7 @@ impl<'a> PullParser<'a> {
 
     /// Returns the next event, resolving entities and skipping comments,
     /// processing instructions, the XML declaration and DOCTYPE.
-    pub fn next_event(&mut self) -> Result<Event, XmlError> {
+    pub fn next_event(&mut self) -> Result<Event<'a>, XmlError> {
         loop {
             if self.done {
                 return Ok(Event::Eof);
@@ -156,23 +168,24 @@ impl<'a> PullParser<'a> {
         }
     }
 
-    fn read_cdata(&mut self) -> Result<Event, XmlError> {
+    fn read_cdata(&mut self) -> Result<Event<'a>, XmlError> {
         let start = self.pos + "<![CDATA[".len();
         match self.src[start..].find("]]>") {
             Some(idx) => {
-                let text = self.src[start..start + idx].to_string();
+                let text = &self.src[start..start + idx];
                 self.pos = start + idx + 3;
-                Ok(Event::Text(text))
+                Ok(Event::Text(Cow::Borrowed(text)))
             }
             None => Err(XmlError::new("unterminated CDATA section", self.pos)),
         }
     }
 
-    fn read_text(&mut self) -> Result<Option<Event>, XmlError> {
+    fn read_text(&mut self) -> Result<Option<Event<'a>>, XmlError> {
         let start = self.pos;
-        while self.pos < self.src.len() && self.bytes()[self.pos] != b'<' {
-            self.pos += 1;
-        }
+        self.pos = self.bytes()[start..]
+            .iter()
+            .position(|&b| b == b'<')
+            .map_or(self.src.len(), |n| start + n);
         let raw = &self.src[start..self.pos];
         if self.stack.is_empty() || raw.trim().is_empty() {
             // Inter-element whitespace, or stray text outside the root
@@ -185,7 +198,7 @@ impl<'a> PullParser<'a> {
         Ok(Some(Event::Text(unescape(raw))))
     }
 
-    fn read_name(&mut self) -> Result<String, XmlError> {
+    fn read_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while self.pos < self.src.len() {
             let b = self.bytes()[self.pos];
@@ -197,10 +210,10 @@ impl<'a> PullParser<'a> {
         if self.pos == start {
             return Err(XmlError::new("expected a name", start));
         }
-        Ok(self.src[start..self.pos].to_string())
+        Ok(&self.src[start..self.pos])
     }
 
-    fn read_start_tag(&mut self) -> Result<Event, XmlError> {
+    fn read_start_tag(&mut self) -> Result<Event<'a>, XmlError> {
         self.pos += 1; // consume '<'
         let name = self.read_name()?;
         let mut attrs = Vec::new();
@@ -209,17 +222,17 @@ impl<'a> PullParser<'a> {
             match self.bytes().get(self.pos) {
                 Some(b'>') => {
                     self.pos += 1;
-                    self.stack.push(name.clone());
+                    self.stack.push(name);
                     return Ok(Event::Start { name, attrs });
                 }
                 Some(b'/') => {
                     if self.bytes().get(self.pos + 1) == Some(&b'>') {
                         self.pos += 2;
-                        // Self-closing: deliver Start now, queue End by
-                        // pushing a sentinel the caller never sees — we
-                        // instead emit End on the next call via stack+flag.
-                        self.stack.push(name.clone());
-                        self.pending_end = Some(name.clone());
+                        // Self-closing: deliver Start now; `next` emits
+                        // the queued End (and pops the stack) on its
+                        // following call.
+                        self.stack.push(name);
+                        self.pending_end = Some(name);
                         return Ok(Event::Start { name, attrs });
                     }
                     return Err(XmlError::new("stray '/' in tag", self.pos));
@@ -256,7 +269,7 @@ impl<'a> PullParser<'a> {
         }
     }
 
-    fn read_end_tag(&mut self) -> Result<Event, XmlError> {
+    fn read_end_tag(&mut self) -> Result<Event<'a>, XmlError> {
         self.pos += 2; // consume '</'
         let name = self.read_name()?;
         self.skip_ws();
@@ -279,6 +292,27 @@ impl<'a> PullParser<'a> {
 }
 
 impl<'a> PullParser<'a> {
+    /// The shape of almost every leaf: at most one run of text, then the
+    /// open element's own `</name>`. Consumes both and returns the text
+    /// (what `next` would have yielded, whitespace-only runs dropped);
+    /// anything else consumes nothing and leaves it to `next`.
+    fn text_then_own_end(&mut self) -> Option<Cow<'a, str>> {
+        let open = *self.stack.last()?;
+        if self.pending_end.is_some() {
+            return None;
+        }
+        let start = self.pos;
+        // One vectorized scan finds the `<` and proves the run holds no
+        // `&` to decode (a `&` or `>` stops it first).
+        let end = start + simd::escape_scan(&self.bytes()[start..], false);
+        let tag = self.bytes().get(end..)?.strip_prefix(b"</")?;
+        let after = tag.strip_prefix(open.as_bytes())?.strip_prefix(b">")?;
+        self.pos = self.src.len() - after.len();
+        self.stack.pop();
+        let raw = &self.src[start..end];
+        Some(Cow::Borrowed(if raw.trim().is_empty() { "" } else { raw }))
+    }
+
     /// Like [`PullParser::next_event`] but transparently yields the
     /// synthesized `End` of a self-closing tag.
     ///
@@ -286,7 +320,7 @@ impl<'a> PullParser<'a> {
     /// (XPP); this type deliberately is not an `Iterator` because events
     /// are fallible.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Event, XmlError> {
+    pub fn next(&mut self) -> Result<Event<'a>, XmlError> {
         if let Some(name) = self.pending_end.take() {
             self.stack.pop();
             return Ok(Event::End { name });
@@ -308,12 +342,18 @@ impl<'a> PullParser<'a> {
     }
 
     /// Collects the concatenated text content up to the matching end tag of
-    /// the currently-open element, erroring on nested elements.
-    pub fn text_content(&mut self) -> Result<String, XmlError> {
-        let mut out = String::new();
+    /// the currently-open element, erroring on nested elements. Borrows
+    /// from the document when the content is one entity-free run (the
+    /// common case); only split or entity-bearing content is copied.
+    pub fn text_content(&mut self) -> Result<Cow<'a, str>, XmlError> {
+        if let Some(text) = self.text_then_own_end() {
+            return Ok(text);
+        }
+        let mut out = Cow::Borrowed("");
         loop {
             match self.next()? {
-                Event::Text(t) => out.push_str(&t),
+                Event::Text(t) if out.is_empty() => out = t,
+                Event::Text(t) => out.to_mut().push_str(&t),
                 Event::End { .. } => return Ok(out),
                 Event::Start { name, .. } => {
                     return Err(XmlError::new(
@@ -331,7 +371,7 @@ impl<'a> PullParser<'a> {
 mod tests {
     use super::*;
 
-    fn events(src: &str) -> Vec<Event> {
+    fn events(src: &str) -> Vec<Event<'_>> {
         let mut p = PullParser::new(src);
         let mut out = Vec::new();
         loop {
@@ -352,16 +392,16 @@ mod tests {
             evs,
             vec![
                 Event::Start {
-                    name: "a".into(),
+                    name: "a",
                     attrs: vec![]
                 },
                 Event::Start {
-                    name: "b".into(),
-                    attrs: vec![("x".into(), "1".into())]
+                    name: "b",
+                    attrs: vec![("x", "1".into())]
                 },
                 Event::Text("hi".into()),
-                Event::End { name: "b".into() },
-                Event::End { name: "a".into() },
+                Event::End { name: "b" },
+                Event::End { name: "a" },
                 Event::Eof,
             ]
         );
@@ -371,12 +411,12 @@ mod tests {
     fn self_closing_synthesizes_end() {
         let evs = events("<a><b/><c attr='v'/></a>");
         assert_eq!(evs.len(), 7);
-        assert_eq!(evs[2], Event::End { name: "b".into() });
+        assert_eq!(evs[2], Event::End { name: "b" });
         assert_eq!(
             evs[3],
             Event::Start {
-                name: "c".into(),
-                attrs: vec![("attr".into(), "v".into())]
+                name: "c",
+                attrs: vec![("attr", "v".into())]
             }
         );
     }
@@ -387,7 +427,7 @@ mod tests {
         assert_eq!(
             evs[0],
             Event::Start {
-                name: "a".into(),
+                name: "a",
                 attrs: vec![]
             }
         );
@@ -406,11 +446,58 @@ mod tests {
         assert_eq!(
             evs[0],
             Event::Start {
-                name: "a".into(),
-                attrs: vec![("k".into(), "<&>".into())]
+                name: "a",
+                attrs: vec![("k", "<&>".into())]
             }
         );
         assert_eq!(evs[1], Event::Text("A&B".into()));
+    }
+
+    #[test]
+    fn entity_free_text_and_attrs_are_borrowed() {
+        let evs = events("<a k=\"v\" e=\"&amp;\">plain</a>");
+        match &evs[0] {
+            Event::Start { attrs, .. } => {
+                assert!(matches!(attrs[0].1, Cow::Borrowed("v")));
+                assert!(matches!(&attrs[1].1, Cow::Owned(v) if v == "&"));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(matches!(evs[1], Event::Text(Cow::Borrowed("plain"))));
+        assert!(matches!(
+            events("<a>&#49;.5</a>")[1],
+            Event::Text(Cow::Owned(ref t)) if t == "1.5"
+        ));
+    }
+
+    #[test]
+    fn text_content_borrows_one_run_and_joins_split_runs() {
+        let mut p = PullParser::new("<a> 2.5 </a>");
+        p.next().unwrap();
+        assert!(matches!(p.text_content().unwrap(), Cow::Borrowed(" 2.5 ")));
+        let mut p = PullParser::new("<a>x<!-- c -->y<![CDATA[<z>]]></a>");
+        p.next().unwrap();
+        assert_eq!(p.text_content().unwrap(), "xy<z>");
+        // Shapes the one-run shortcut must hand back to `next`: a `>` in
+        // the text, an entity, whitespace inside the end tag, an empty
+        // self-closed leaf.
+        for (doc, text) in [
+            ("<a></a>", ""),
+            ("<a> \n </a>", ""),
+            ("<a>x > y</a>", "x > y"),
+            ("<a>x &lt; y</a>", "x < y"),
+            ("<a>z</a >", "z"),
+            ("<a/>", ""),
+        ] {
+            let mut p = PullParser::new(doc);
+            p.next().unwrap();
+            assert_eq!(p.text_content().unwrap(), text, "{doc}");
+            assert_eq!(p.next().unwrap(), Event::Eof, "{doc}");
+        }
+        let mut p = PullParser::new("<a><b>1</c></a>");
+        p.next().unwrap();
+        p.next().unwrap();
+        assert!(p.text_content().is_err(), "mismatched end tag");
     }
 
     #[test]
@@ -434,7 +521,7 @@ mod tests {
     #[test]
     fn namespaced_names_preserved() {
         let evs = events("<soap:Envelope xmlns:soap=\"http://x\"><soap:Body/></soap:Envelope>");
-        assert!(matches!(&evs[0], Event::Start { name, .. } if name == "soap:Envelope"));
+        assert!(matches!(&evs[0], Event::Start { name, .. } if *name == "soap:Envelope"));
     }
 
     #[test]

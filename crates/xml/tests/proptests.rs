@@ -124,7 +124,13 @@ fn attributes_round_trip() {
         let doc = w.finish();
         let mut p = PullParser::new(&doc);
         match p.next().unwrap() {
-            Event::Start { attrs: parsed, .. } => assert_eq!(parsed, attrs),
+            Event::Start { attrs: parsed, .. } => {
+                let parsed: Vec<(String, String)> = parsed
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v.into_owned()))
+                    .collect();
+                assert_eq!(parsed, attrs)
+            }
             other => panic!("unexpected event {other:?}"),
         }
     }
